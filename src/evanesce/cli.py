@@ -26,7 +26,10 @@ from .delay import (
     Channel, DegenerateChannelError, DerivativeConvergenceError, hartman_sweep,
     goos_hanchen_shift,
 )
-from .energy import evanescent_vs_free_energy, stored_energy, train_model
+from .energy import (
+    evanescent_vs_free_energy, incident_flux, integrated_density, stored_energy,
+    train_model,
+)
 from .scattering import (
     approx_transmission, attenuation_db_per_mm, gap_attenuation_db, scatter,
 )
@@ -117,7 +120,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> None:
+def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The argparse actions of one subcommand, keyed by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """Check a JSON config value as its flag's parser would; return it typed."""
+    kind = bool if action.nargs == 0 else action.type or str
+    allowed = (int, float) if kind is float else kind
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed)
+            or value not in (action.choices or [value])):
+        choices = f" in {list(action.choices)}" if action.choices else ""
+        raise ConfigError(
+            f"config key {key!r} must be {kind.__name__}{choices}, got {value!r}")
+    return kind(value)
+
+
+def _merge_config(args: argparse.Namespace, actions: dict) -> None:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -127,8 +148,9 @@ def _merge_config(args: argparse.Namespace) -> None:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
-            if not hasattr(args, key):
+            if key not in actions or not hasattr(args, key):
                 raise ConfigError(f"unknown config key {key!r}")
+            value = _config_value(actions[key], key, value)
             if getattr(args, key) in (None, False):
                 setattr(args, key, value)
     for key, value in _DEFAULTS.items():
@@ -218,18 +240,21 @@ def cmd_hartman(args: argparse.Namespace) -> int:
         for i in range(args.d_steps)
     ]
     table = hartman_sweep(scenario, d_values, Channel.TRANSMISSION)
-    budgets = [stored_energy(replace(scenario, d=dv)) for dv in d_values]
-    u_ref = budgets[-1].stored
+    # stored energy is per-area energy times the GH shift s already in the
+    # table; s cancels from the dwell time, and the flux is independent of d
+    flux = incident_flux(scenario, scenario.omega, wavevectors(scenario).k_x)
+    per_area = [integrated_density(replace(scenario, d=dv)) for dv in d_values]
+    u_ref = per_area[-1] * table.rows[-1][2]
     rows = tuple(
         (
             row[0] * 1e3,            # d_mm
             row[1] * 1e12,           # tau0_ps
             row[2] * 1e2,            # s_cm
             row[3] * 1e12,           # tau_g_ps
-            budget.dwell_time * 1e12,  # dwell_ps
-            budget.stored / u_ref,   # U_norm
+            u / flux * 1e12,         # dwell_ps
+            u * row[2] / u_ref,      # U_norm
         )
-        for row, budget in zip(table.rows, budgets)
+        for row, u in zip(table.rows, per_area)
     )
     out = SweepTable(
         columns=("d_mm", "tau0_ps", "s_cm", "tau_g_ps", "dwell_ps", "U_norm"),
@@ -358,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, _command_actions(parser, args.command))
         return _COMMANDS[args.command](args)
     except DerivativeConvergenceError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

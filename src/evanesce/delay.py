@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import Scenario, wavevectors
 from .scattering import scatter
-from .sweep import SweepTable, map_ordered
+from .sweep import SweepTable
 
 # relative finite-difference step; phase noise is ~1e-15 rad so the
 # quotient-of-coefficients form keeps ~9 clean digits at this step
@@ -256,7 +256,7 @@ def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
             raise type(exc)(f"sweep failed at d={d!r} m: {exc}") from exc
         return (d, bd.phase_delay, bd.gh_shift, bd.group_delay)
 
-    rows = tuple(map_ordered(point, d_values))
+    rows = tuple(point(d) for d in d_values)
     return SweepTable(columns=("d", "tau0", "s", "tau_g"), rows=rows)
 
 

@@ -7,8 +7,8 @@ matrices with a complex gap wavenumber
 
 whose principal branch (Im >= 0, decay toward +z) covers the evanescent and
 propagating regimes in one code path.  Eliminating the matrices analytically
-gives the numerically stable closed form used below; sin(phi)/k_z_gap is
-evaluated as a sinc so nothing blows up at the critical angle.
+gives the closed form used below, written in the bounded factor
+e^{2i k_z_gap d} so that nothing overflows at any gap width.
 
 Phase reference planes: the incident/reflected amplitudes live on the first
 gap face (z = 0) and the transmitted amplitude on the second (z = d), so the
@@ -99,27 +99,30 @@ def scatter(scenario: Scenario, omega: float | None = None,
     d = scenario.d
     phi = beta * d
 
-    # sin(phi)/beta via its series near phi = 0 keeps the critical angle and
-    # d = 0 exact instead of 0/0.
+    # Scaled by the bounded e^{i phi} (Im beta >= 0), nothing overflows and
+    # t underflows cleanly to 0 for kappa*d > ~745.  e^{i phi} sin(phi)/beta
+    # via its series near phi = 0 keeps the critical angle and d = 0 exact.
+    prop = np.exp(1j * phi)
+    e_sin = np.expm1(2j * phi) / 2j
     small = np.abs(phi) < 1e-8
     beta_safe = np.where(small, 1.0, beta)
-    sin_over_beta = np.where(small, d * (1 - phi ** 2 / 6), np.sin(phi) / beta_safe)
+    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_term = alpha_hat * sin_over_beta          # (alpha_hat/beta) sin(phi)
-        b_term = beta * np.sin(phi) / alpha_hat     # (beta/alpha_hat) sin(phi)
-        den = np.cos(phi) - 0.5j * (a_term + b_term)
-        t = 1.0 / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_term = alpha_hat * e_sin_over_beta        # (alpha_hat/beta) e^{i phi} sin(phi)
+        b_term = beta * e_sin / alpha_hat           # (beta/alpha_hat) e^{i phi} sin(phi)
+        den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)  # 1 + i e^{i phi} sin = e^{i phi} cos
+        t = prop / den
         r = -0.5j * (a_term - b_term) / den
 
-    # First-interface matching gives the gap amplitudes; the growing
-    # component is always retained.  Exactly at the critical angle the two
-    # exponentials degenerate and the split amplitudes diverge (r and t do
-    # not); callers probing that single point get inf/nan amplitudes.
+    # The decaying amplitude is matched at the first interface, the growing
+    # one (~e^{-2 kappa d}) at the second, where it is a product rather than
+    # a difference cancelling to rounding noise.  Exactly at the critical
+    # angle both diverge (r and t do not): that point gives inf/nan amplitudes.
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = alpha_hat / beta
-    c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
-    d_amp = 0.5 * ((1 + r) - ratio * (1 - r))
+        c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
+        d_amp = 0.5 * t * (1 - ratio) * prop
 
     if omega_a.ndim == 0 and kx_a.ndim == 0:
         return ScatterResult(

@@ -1,40 +1,10 @@
-"""Ordered sweep records and the shared parallel-map helper.
-
-Sweep points are independent pure-function evaluations, so they may run on
-a thread pool; results are always collected in input order.  The pool size
-is capped by the EVANESCE_THREADS environment variable (0 or unset = auto).
-"""
+"""Ordered sweep records with stable columns and their CSV form."""
 
 from __future__ import annotations
 
 import io
-import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
-
-
-def worker_count(n_points: int) -> int:
-    raw = os.environ.get("EVANESCE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"EVANESCE_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError(f"EVANESCE_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_points))
-
-
-def map_ordered(fn: Callable, xs: Sequence) -> list:
-    """Apply fn to each x, preserving order; threads when allowed."""
-    workers = worker_count(len(xs))
-    if workers <= 1 or len(xs) <= 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, xs))
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -68,12 +38,6 @@ class SweepTable:
         for row in self.rows:
             buf.write(",".join(fmt % v for v in row) + "\n")
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"columns": list(self.columns), "rows": [list(r) for r in self.rows]},
-            indent=2,
-        )
 
     @staticmethod
     def from_csv(text: str) -> "SweepTable":

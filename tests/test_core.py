@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -161,3 +163,12 @@ class TestScenario:
                        dict(fwhm=1e-9, carrier=1e9, front_rise=0.0)):
             with pytest.raises(ValueError):
                 PulseSpec(**kwargs)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is only a test dependency; the library must not import it
+    code = ("import sys, evanesce; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

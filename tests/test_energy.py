@@ -73,6 +73,13 @@ class TestGapField:
         r_squared = 1 - float(np.sum(residual ** 2) / np.sum((u - u.mean()) ** 2))
         assert r_squared > 0.999
 
+    def test_finite_past_exponent_range(self, headline):
+        # kappa d = 811, where e^{kappa d} overflows; the profile stays finite
+        s = replace(headline, d=8.0)
+        profile = gap_field(s, n_samples=5)
+        assert np.all(np.isfinite(profile.field))
+        assert np.all(np.isfinite(profile.energy_density))
+
     def test_density_nonnegative(self):
         rng = np.random.default_rng(22)
         for _ in range(30):
@@ -123,6 +130,19 @@ class TestStoredEnergy:
                              + (s.c / s.omega) ** 2 * kappa ** 2
                              * (i_cc + i_dd - i_cross))
             assert integrated_density(s) == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [0.4, 1.0, 2.0])
+    def test_wide_gap_decaying_term_only(self, headline, d):
+        # past kappa d ~ 35 the growing and cross terms are below rounding:
+        # the stored energy is the integral of the decaying term alone, whose
+        # amplitude is the single-interface value 2 alpha / (alpha + i kappa)
+        s = replace(headline, d=d)
+        wv = wavevectors(s)
+        c_amp = 2 * wv.k_z_prism / (wv.k_z_prism + 1j * wv.kappa)
+        weight = 0.25 * (1 + (s.c * wv.k_x / s.omega) ** 2
+                         + (s.c * wv.kappa / s.omega) ** 2)
+        closed = weight * abs(c_amp) ** 2 / (2 * wv.kappa)
+        assert integrated_density(s) == pytest.approx(closed, rel=1e-12)
 
     def test_saturation_profile_dominant_regime(self, headline):
         # the pure decaying-exponential integral predicts the profile in the

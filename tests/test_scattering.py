@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,6 +103,43 @@ class TestGapAmplitudes:
     def test_growing_component_retained(self, headline):
         res = scatter(headline)
         assert res.d_amp != 0
+
+    def test_growing_amplitude_against_mpmath(self, headline):
+        # at kappa d = 40 the growing amplitude is ~e^{-80}; a 60-digit solve
+        # of the four interface conditions resolves it to every digit
+        kappa = wavevectors(headline).kappa
+        s = Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=40 / kappa)
+        k_x = wavevectors(s).k_x
+        with mpmath.workdps(60):
+            k0 = mpmath.mpf(s.omega) / mpmath.mpf(s.c)
+            a = mpmath.sqrt((s.n * k0) ** 2 - mpmath.mpf(k_x) ** 2)
+            b = 1j * mpmath.sqrt(mpmath.mpf(k_x) ** 2 - k0 ** 2)
+            e_p, e_m = mpmath.exp(1j * b * s.d), mpmath.exp(-1j * b * s.d)
+            mat = mpmath.matrix([[1, -1, -1, 0],
+                                 [-a, -b, b, 0],
+                                 [0, e_p, e_m, -1],
+                                 [0, b * e_p, -b * e_m, -a]])
+            _, _, d_amp, _ = mpmath.lu_solve(mat, mpmath.matrix([-1, -a, 0, 0]))
+            want = complex(d_amp)
+        got = scatter(s).d_amp
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestWideGaps:
+    @pytest.mark.parametrize("polarization", [Polarization.TE, Polarization.TM])
+    def test_finite_and_unitary_to_kd_1e4(self, headline, polarization):
+        kappa = wavevectors(headline).kappa
+        for kd in np.logspace(0, 4, 41):
+            s = Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=kd / kappa,
+                         polarization=polarization)
+            res = scatter(s)
+            fields = [res.r, res.t, res.c_amp, res.d_amp]
+            assert all(cmath.isfinite(v) for v in fields)
+            assert abs(abs(res.r) ** 2 + abs(res.t) ** 2 - 1) <= 1e-12
+
+    def test_transmission_underflows_to_zero(self, headline):
+        s = Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=10.0)
+        assert scatter(s).t == 0
 
 
 class TestAsymptotics:
