@@ -19,8 +19,8 @@ from .scattering import (
 )
 from .delay import (
     Channel, DegenerateChannelError, DelayBreakdown, channel_phase,
-    delay_implied_by_shift, goos_hanchen_shift, group_delay_direct,
-    hartman_sweep, phase_delay, shift_implied_by_delay, total_group_delay,
+    delay_implied_by_shift, goos_hanchen_shift, hartman_sweep, phase_delay,
+    shift_implied_by_delay, total_group_delay,
 )
 from .energy import (
     EnergyBudget, GapFieldProfile, evanescent_vs_free_energy, gap_field,
@@ -42,8 +42,8 @@ __all__ = [
     "attenuation_db_per_mm", "beam_centroid_shift", "channel_phase",
     "critical_angle", "delay_implied_by_shift", "differential_delay",
     "evanescent_vs_free_energy", "front_causality_check", "gap_field",
-    "gap_attenuation_db", "goos_hanchen_shift", "group_delay_direct",
-    "hartman_sweep", "phase_delay", "propagate_pulse", "pulse_spatial_extent",
+    "gap_attenuation_db", "goos_hanchen_shift", "hartman_sweep", "phase_delay",
+    "propagate_pulse", "pulse_spatial_extent",
     "quasi_static_ratio", "scatter", "shift_implied_by_delay",
     "stored_energy", "total_group_delay", "train_model",
     "train_model_geometric", "vacuum_wavelength", "wavevectors",

@@ -23,8 +23,7 @@ from .core import (
     pulse_spatial_extent, vacuum_wavelength, wavevectors,
 )
 from .delay import (
-    Channel, DegenerateChannelError, DerivativeConvergenceError, hartman_sweep,
-    goos_hanchen_shift,
+    Channel, DegenerateChannelError, hartman_sweep, goos_hanchen_shift,
 )
 from .energy import (
     evanescent_vs_free_energy, incident_flux, integrated_density, stored_energy,
@@ -385,9 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _merge_config(args, _command_actions(parser, args.command))
         return _COMMANDS[args.command](args)
-    except DerivativeConvergenceError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 3
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

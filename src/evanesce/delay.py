@@ -10,7 +10,7 @@ where ``tau_0`` is the frequency derivative of the channel phase taken
 along the fixed-angle dispersion path (k_x = n omega sin(theta)/c varies
 with omega) and ``s = -d(phase)/d(k_x)`` at fixed omega.  By the chain rule
 the sum equals the partial derivative of the phase with respect to omega at
-fixed k_x, which ``group_delay_direct`` computes as an independent route.
+fixed k_x.
 
 ``tau_0`` decays like e^{-2 kappa d} once the gap is a wavelength or more
 wide, so the saturated delay is pure lateral transport: energy crossing the
@@ -18,28 +18,37 @@ shift distance ``s`` at the interface trace speed c/(n sin(theta)).  That
 saturation with gap width is the Hartman effect, swept by
 ``hartman_sweep``.
 
-All derivatives are adaptive central differences (relative step 1e-6, one
-Richardson halving to verify convergence); this keeps the module agnostic
-to the closed form of the scattering coefficients and catches phase-wrap
-bugs that a symbolic route would hide.
+All derivatives are closed forms.  ``scatter`` writes t = e^{i beta d}/den
+with den = (2 + q)/4 * (1 + rho E), where q = alpha_hat/beta + beta/alpha_hat,
+rho = (2 - q)/(2 + q) and E = e^{2i beta d}.  Along any direction in
+(omega, k_x) at fixed d,
+
+    d log t = i d beta' - q' (1 - E) / ((2 + q)(1 + rho E))
+              - 2i d beta' rho E / (1 + rho E),
+
+with q' = (alpha'/alpha - beta'/beta)(alpha_hat/beta - beta/alpha_hat).  In
+the evanescent regime beta = i kappa, so i d beta' is real and drops out of
+the phase.  On the fixed-angle path alpha and beta both scale with omega,
+so q' = 0 exactly and tau_0 is the rho E term alone, which keeps its
+relative accuracy down to underflow.  Only the bounded den enters, never t,
+so the delays hold at any gap width, also where t underflows to 0.  The
+reflection coefficient is r = -(i/2)(alpha_hat/kappa + kappa/alpha_hat)
+sinh(kappa d) t, a rigid -90 degree rotation of t, so both channels share
+these derivatives; only r = 0 at d = 0 sets them apart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Scenario, wavevectors
-from .scattering import scatter
+from .core import Polarization, Scenario, wavevectors
+from .scattering import _matching_constants
 from .sweep import SweepTable
-
-# relative finite-difference step; phase noise is ~1e-15 rad so the
-# quotient-of-coefficients form keeps ~9 clean digits at this step
-_REL_STEP = 1e-6
 
 
 class Channel(str, Enum):
@@ -51,99 +60,37 @@ class DegenerateChannelError(ValueError):
     """Channel coefficient is identically zero, so its phase is undefined."""
 
 
-class DerivativeConvergenceError(ArithmeticError):
-    """Central difference failed its Richardson convergence check."""
-
-
-def _coefficient(scenario: Scenario, omega: float, k_x: float,
-                 channel: Channel) -> complex:
-    res = scatter(scenario, omega, k_x)
-    value = res.t if channel is Channel.TRANSMISSION else res.r
-    if value == 0:
-        raise DegenerateChannelError(
-            f"{channel.value} coefficient is zero (d={scenario.d}); "
-            "phase undefined"
-        )
-    return value
-
-
 def channel_phase(scenario: Scenario, omega: float | None = None,
                   k_x: float | None = None,
                   channel: Channel = Channel.TRANSMISSION) -> float:
     """Principal-value phase [rad] of the channel coefficient.
 
-    Continuity along a sweep is the sweep driver's job; see ``phase_sweep``.
+    Taken from t = 4 e^{i beta d}/((2 + q)(1 + rho E)) and
+    r = (alpha_hat/beta - beta/alpha_hat)(1 - E)/((2 + q)(1 + rho E)), of
+    which only bounded factors are formed, so the phase is defined at any
+    gap width, also where |t| underflows to 0.
     """
     if omega is None:
         omega = scenario.omega
     if k_x is None:
         k_x = wavevectors(scenario, omega).k_x
-    return float(np.angle(_coefficient(scenario, omega, k_x, channel)))
-
-
-def phase_sweep(coefficients: Sequence[complex],
-                refine: Callable[[float, float], complex] | None = None,
-                lo: float = 0.0, hi: float = 1.0,
-                max_step: float = math.pi / 2,
-                max_depth: int = 40) -> np.ndarray:
-    """Unwrap coefficient phases along a one-parameter sweep.
-
-    Nearest-branch continuation between consecutive points.  If a step
-    exceeds ``max_step`` and a ``refine(a, b) -> coefficient`` midpoint
-    evaluator is given (with the sweep parametrized on [lo, hi]), midpoints
-    are inserted until every step is small enough, so oscillatory
-    below-critical sweeps unwrap correctly.
-    """
-    coeffs = list(coefficients)
-    if any(c == 0 for c in coeffs):
-        raise DegenerateChannelError("zero coefficient in sweep; phase undefined")
-    params = np.linspace(lo, hi, len(coeffs))
-
-    def step(a_param, a_val, b_param, b_val, depth):
-        delta = float(np.angle(b_val / a_val))
-        if abs(delta) <= max_step or refine is None:
-            return delta
-        if depth >= max_depth:
-            raise DerivativeConvergenceError(
-                "phase sweep refinement exceeded maximum depth; "
-                "sweep too coarse for reliable unwrapping"
-            )
-        mid_param = 0.5 * (a_param + b_param)
-        mid_val = refine(a_param, b_param)
-        return (step(a_param, a_val, mid_param, mid_val, depth + 1)
-                + step(mid_param, mid_val, b_param, b_val, depth + 1))
-
-    phases = [float(np.angle(coeffs[0]))]
-    for i in range(1, len(coeffs)):
-        phases.append(phases[-1] + step(params[i - 1], coeffs[i - 1],
-                                        params[i], coeffs[i], 0))
-    return np.asarray(phases)
-
-
-def _phase_slope(fn: Callable[[float], complex], x0: float, h: float) -> float:
-    # angle of the coefficient ratio is the nearest-branch phase difference
-    return float(np.angle(fn(x0 + h) / fn(x0 - h))) / (2 * h)
-
-
-def _adaptive_phase_derivative(fn: Callable[[float], complex], x0: float) -> float:
-    h = _REL_STEP * abs(x0)
-    if h == 0:
-        raise DerivativeConvergenceError("zero differentiation step")
-    last = None
-    for _ in range(4):
-        d_h = _phase_slope(fn, x0, h)
-        d_h2 = _phase_slope(fn, x0, h / 2)
-        best = d_h2 + (d_h2 - d_h) / 3  # Richardson extrapolation, O(h^4)
-        # noise floor: ~1e-15 rad of angle noise through a 2h quotient
-        floor = 1e-12 / h
-        if abs(d_h2 - d_h) <= max(1e-6 * abs(best), floor):
-            return best
-        last = (d_h, d_h2)
-        h /= 4  # truncation error drops 16x per retry, noise grows only 4x
-    raise DerivativeConvergenceError(
-        f"phase derivative did not converge at x0={x0!r}: "
-        f"D(h)={last[0]!r}, D(h/2)={last[1]!r}"
-    )
+    alpha_hat, beta = _matching_constants(scenario, omega, k_x, False)
+    d = scenario.d
+    if beta == 0:
+        # light line k_x = omega/c, where q is infinite: the limit
+        # e^{i phi} sin(phi)/beta -> d gives 4 den = 4 - 2i alpha_hat d
+        four_den, t_num, r_num = 4 - 2j * alpha_hat * d, 1, -2j * alpha_hat * d
+    else:
+        q = alpha_hat / beta + beta / alpha_hat
+        four_den = (2 + q) * (1 + (2 - q) / (2 + q) * np.exp(2j * beta * d))
+        # the phase of e^{i beta d} without its (underflowing) magnitude
+        t_num = np.exp(1j * beta.real * d)
+        r_num = -(alpha_hat / beta - beta / alpha_hat) * np.expm1(2j * beta * d)
+    numerator = t_num if channel is Channel.TRANSMISSION else r_num
+    if numerator == 0:
+        raise DegenerateChannelError(
+            f"{channel.value} coefficient is zero (d={d}); phase undefined")
+    return float(np.angle(numerator / four_den))
 
 
 @dataclass(frozen=True)
@@ -165,6 +112,32 @@ def _lateral_slowness(scenario: Scenario) -> float:
     return scenario.n * math.sin(scenario.theta) / scenario.c
 
 
+def _delays(scenario: Scenario, d: np.ndarray, channel: Channel):
+    """(tau_0 [s], s [m]) arrays at the carrier for the gap widths ``d``."""
+    scenario.require_tunneling()
+    if channel is Channel.REFLECTION and np.any(d == 0):
+        raise DegenerateChannelError(
+            "reflection coefficient is zero (d=0); phase undefined")
+    wv = wavevectors(scenario)
+    kappa, alpha, k_x = wv.kappa, wv.k_z_prism, wv.k_x
+    tm = scenario.polarization is Polarization.TM
+    alpha_hat = alpha / scenario.n ** 2 if tm else alpha
+    # beta = i kappa: q and p = alpha_hat/beta - beta/alpha_hat are
+    # imaginary and E = e^{-2 kappa d} is real
+    q = 1j * (kappa / alpha_hat - alpha_hat / kappa)
+    p = -1j * (kappa / alpha_hat + alpha_hat / kappa)
+    rho_e = (2 - q) / (2 + q) * np.exp(-2 * kappa * d)
+    interference = np.imag(rho_e / (1 + rho_e))
+    # fixed angle: beta' = beta/omega and q' = 0
+    tau0 = 2 * d * kappa / scenario.omega * interference
+    # fixed omega: beta' = -k_x/beta and q' = (alpha'/alpha - beta'/beta) p,
+    # with alpha'/alpha = -k_x/alpha^2 and beta'/beta = k_x/kappa^2
+    d_q = -k_x * (1 / alpha ** 2 + 1 / kappa ** 2) * p
+    shift = (np.imag(d_q / (2 + q) * -np.expm1(-2 * kappa * d) / (1 + rho_e))
+             - 2 * d * k_x / kappa * interference)
+    return tau0, shift
+
+
 def phase_delay(scenario: Scenario,
                 channel: Channel = Channel.TRANSMISSION) -> float:
     """Fixed-angle frequency derivative of the channel phase [s] (tau_0).
@@ -173,43 +146,13 @@ def phase_delay(scenario: Scenario,
     incidence angle, so k_x tracks omega.  Decays rapidly with gap width;
     it is not a traversal time.
     """
-    scenario.require_tunneling()
-    slope = math.sin(scenario.theta) * scenario.n / scenario.c
-
-    def coef(om: float) -> complex:
-        return _coefficient(scenario, om, slope * om, channel)
-
-    return _adaptive_phase_derivative(coef, scenario.omega)
+    return total_group_delay(scenario, channel).phase_delay
 
 
 def goos_hanchen_shift(scenario: Scenario,
                        channel: Channel = Channel.TRANSMISSION) -> float:
     """Lateral beam shift s = -d(phase)/d(k_x) at fixed omega [m]."""
-    scenario.require_tunneling()
-    omega = scenario.omega
-    kx0 = wavevectors(scenario, omega).k_x
-
-    def coef(kx: float) -> complex:
-        return _coefficient(scenario, omega, kx, channel)
-
-    return -_adaptive_phase_derivative(coef, kx0)
-
-
-def group_delay_direct(scenario: Scenario,
-                       channel: Channel = Channel.TRANSMISSION) -> float:
-    """Group delay via d(phase)/d(omega) at fixed k_x [s].
-
-    Independent route equal to the assembled breakdown by the chain rule;
-    kept separate so the two can cross-check each other.
-    """
-    scenario.require_tunneling()
-    omega = scenario.omega
-    kx0 = wavevectors(scenario, omega).k_x
-
-    def coef(om: float) -> complex:
-        return _coefficient(scenario, om, kx0, channel)
-
-    return _adaptive_phase_derivative(coef, omega)
+    return total_group_delay(scenario, channel).gh_shift
 
 
 def total_group_delay(scenario: Scenario,
@@ -217,8 +160,9 @@ def total_group_delay(scenario: Scenario,
     """Assemble tau_g = tau_0 + s * n sin(theta)/c for one channel."""
     if scenario.d == 0 and channel is Channel.TRANSMISSION:
         return DelayBreakdown(0.0, 0.0, 0.0, channel)
-    tau0 = phase_delay(scenario, channel)
-    shift = goos_hanchen_shift(scenario, channel)
+    # one-element array: the same arithmetic as a sweep, to the last bit
+    tau0, shift = (float(v[0])
+                   for v in _delays(scenario, np.array([scenario.d]), channel))
     tau_g = tau0 + shift * _lateral_slowness(scenario)
     return DelayBreakdown(tau0, shift, tau_g, channel)
 
@@ -237,35 +181,17 @@ def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
                   channel: Channel = Channel.TRANSMISSION) -> SweepTable:
     """Delay breakdown versus gap width.
 
-    ``d_values`` must be positive and ascending.  Columns are SI:
-    (d, tau0, s, tau_g).  Points are independent; any failure aborts with
-    the offending gap width in the message.
+    ``d_values`` must be positive, finite and ascending.  Columns are SI:
+    (d, tau0, s, tau_g), all evaluated at once over the ``d`` array.
     """
-    d_values = list(d_values)
-    if not d_values:
+    d = np.asarray(d_values, dtype=float)
+    if d.size == 0:
         raise ValueError("d_values must be non-empty")
-    if any(d <= 0 for d in d_values):
-        raise ValueError("d_values must be positive")
-    if any(b <= a for a, b in zip(d_values, d_values[1:])):
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("d_values must be positive and finite")
+    if np.any(np.diff(d) <= 0):
         raise ValueError("d_values must be strictly ascending")
-
-    def point(d: float) -> tuple[float, ...]:
-        try:
-            bd = total_group_delay(replace(scenario, d=d), channel)
-        except Exception as exc:
-            raise type(exc)(f"sweep failed at d={d!r} m: {exc}") from exc
-        return (d, bd.phase_delay, bd.gh_shift, bd.group_delay)
-
-    rows = tuple(point(d) for d in d_values)
+    tau0, shift = _delays(scenario, d, channel)
+    tau_g = tau0 + shift * _lateral_slowness(scenario)
+    rows = tuple(zip(d.tolist(), tau0.tolist(), shift.tolist(), tau_g.tolist()))
     return SweepTable(columns=("d", "tau0", "s", "tau_g"), rows=rows)
-
-
-def is_saturated(table: SweepTable, rel_tol: float = 1e-3) -> bool:
-    """True if tau_g changed less than ``rel_tol`` over the last decade of d."""
-    d = table.column("d")
-    tau = table.column("tau_g")
-    lo = d[-1] / 10
-    tail = [tg for dv, tg in zip(d, tau) if dv >= lo]
-    if len(tail) < 2:
-        return False
-    return abs(tail[-1] - tail[0]) <= rel_tol * abs(tail[-1])

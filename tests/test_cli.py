@@ -125,6 +125,14 @@ class TestHartmanCommand:
         for d_mm in (400, 1000, 2000):
             assert dwell[d_mm] == 61.0296
 
+    def test_tm_sweep_past_seven_meters(self):
+        # t is subnormal here; the delays do not differentiate t
+        table = SweepTable.from_csv(run_cli(
+            "hartman", "--polarization", "TM", "--d-min-mm", "7000",
+            "--d-max-mm", "7100", "--d-steps", "3").stdout)
+        assert table.column("tau0_ps") == [0.0] * 3
+        assert table.column("s_cm") == [2.52858] * 3
+
 
 class TestPulseCommand:
     def test_report_and_series(self, tmp_path):
@@ -204,11 +212,37 @@ class TestEnergyCommand:
         assert payload["evanescent_to_free_ratio"] < 1
         assert payload["dwell_time_ps"] == pytest.approx(61.0296, rel=1e-5)
 
+    def test_incident_power_saturated_past_seven_meters(self):
+        # the entry window is the saturated GH shift; from the subnormal t
+        # it came out 7e-7 too large at 7.1 m
+        power = [json.loads(run_cli("energy", "--d-mm", d_mm).stdout)["incident_power"]
+                 for d_mm in ("6900", "7100")]
+        assert power[1] == pytest.approx(power[0], rel=1e-12, abs=0)
+
     def test_train_section(self):
         payload = json.loads(run_cli(
             "energy", "--train-first-car", "16", "--train-cars", "5").stdout)
         assert payload["train"]["total_passengers"] == 31
         assert payload["train"]["bound"] == 32
+
+
+class TestTenMeterGap:
+    """t underflows to 0 past ~7.4 m; no command needs t itself."""
+
+    def test_hartman(self):
+        table = SweepTable.from_csv(run_cli(
+            "hartman", "--d-min-mm", "9000", "--d-max-mm", "10000",
+            "--d-steps", "3").stdout)
+        assert table.column("s_cm") == [1.97229] * 3
+        assert table.column("dwell_ps") == [61.0296] * 3
+
+    def test_energy(self):
+        payload = json.loads(run_cli("energy", "--d-mm", "10000").stdout)
+        assert payload["dwell_time_ps"] == pytest.approx(61.0296, rel=1e-5)
+
+    def test_beam(self):
+        payload = json.loads(run_cli("beam", "--d-mm", "10000").stdout)
+        assert payload["gh_shift_cm"] == pytest.approx(1.97229226861, rel=1e-11)
 
 
 class TestCausalityCommand:
