@@ -67,6 +67,27 @@ def _matching_constants(scenario: Scenario, omega, k_x, evanescent_drive: bool):
     return alpha_hat, beta
 
 
+def _transfer(scenario: Scenario, omega, k_x, evanescent_drive: bool):
+    """(alpha_hat, k_z_gap, e^{i phi}, den, r_num): t = e^{i phi}/den and
+    r = r_num/den.  Callers set ``np.errstate`` (it divides by alpha_hat)."""
+    alpha_hat, beta = _matching_constants(scenario, omega, k_x, evanescent_drive)
+    d = scenario.d
+    phi = beta * d
+
+    # Scaled by the bounded e^{i phi} (Im beta >= 0), nothing overflows and
+    # t underflows cleanly to 0 for kappa*d > ~745.  e^{i phi} sin(phi)/beta
+    # via its series near phi = 0 keeps the critical angle and d = 0 exact.
+    prop = np.exp(1j * phi)
+    e_sin = np.expm1(2j * phi) / 2j
+    small = np.abs(phi) < 1e-8
+    beta_safe = np.where(small, 1.0, beta)
+    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
+    a_term = alpha_hat * e_sin_over_beta        # (alpha_hat/beta) e^{i phi} sin(phi)
+    b_term = beta * e_sin / alpha_hat           # (beta/alpha_hat) e^{i phi} sin(phi)
+    den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)  # 1 + i e^{i phi} sin = e^{i phi} cos
+    return alpha_hat, beta, prop, den, -0.5j * (a_term - b_term)
+
+
 def scatter(scenario: Scenario, omega: float | None = None,
             k_x: float | None = None, *,
             evanescent_drive: bool = False) -> ScatterResult:
@@ -95,31 +116,15 @@ def scatter(scenario: Scenario, omega: float | None = None,
     if np.any(omega_a <= 0):
         raise ValueError("omega must be positive")
 
-    alpha_hat, beta = _matching_constants(scenario, omega_a, kx_a, evanescent_drive)
-    d = scenario.d
-    phi = beta * d
-
-    # Scaled by the bounded e^{i phi} (Im beta >= 0), nothing overflows and
-    # t underflows cleanly to 0 for kappa*d > ~745.  e^{i phi} sin(phi)/beta
-    # via its series near phi = 0 keeps the critical angle and d = 0 exact.
-    prop = np.exp(1j * phi)
-    e_sin = np.expm1(2j * phi) / 2j
-    small = np.abs(phi) < 1e-8
-    beta_safe = np.where(small, 1.0, beta)
-    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_term = alpha_hat * e_sin_over_beta        # (alpha_hat/beta) e^{i phi} sin(phi)
-        b_term = beta * e_sin / alpha_hat           # (beta/alpha_hat) e^{i phi} sin(phi)
-        den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)  # 1 + i e^{i phi} sin = e^{i phi} cos
-        t = prop / den
-        r = -0.5j * (a_term - b_term) / den
-
     # The decaying amplitude is matched at the first interface, the growing
     # one (~e^{-2 kappa d}) at the second, where it is a product rather than
     # a difference cancelling to rounding noise.  Exactly at the critical
     # angle both diverge (r and t do not): that point gives inf/nan amplitudes.
     with np.errstate(divide="ignore", invalid="ignore"):
+        alpha_hat, beta, prop, den, r_num = _transfer(
+            scenario, omega_a, kx_a, evanescent_drive)
+        t = prop / den
+        r = r_num / den
         ratio = alpha_hat / beta
         c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
         d_amp = 0.5 * t * (1 - ratio) * prop

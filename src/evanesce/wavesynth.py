@@ -3,9 +3,11 @@
 The structure is linear and time-invariant, so a pulse is propagated by
 multiplying its one-sided (analytic) spectrum by the channel coefficient
 and transforming back; envelopes are magnitudes of the analytic signal,
-which sidesteps carrier-phase ambiguity when locating peaks.  Fields evolve
-as e^{i(k_x x - omega t)}, while the FFT synthesizes e^{+i omega t}
-components, so coefficients are conjugated on the way in.
+which sidesteps carrier-phase ambiguity when locating peaks.  The one-sided
+spectrum is the omega > 0 part of a real FFT (``rfft``) of the samples.
+Fields evolve as e^{i(k_x x - omega t)}, while the FFT synthesizes
+e^{+i omega t} components, so coefficients are conjugated on the way in.
+The closed-prism reference for delays is the incident envelope (t = 1).
 
 Two drive conventions appear:
 
@@ -30,13 +32,13 @@ floor sits far below any leakage tolerance of interest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
 from .delay import Channel, DegenerateChannelError
-from .scattering import scatter
+from .scattering import _transfer, scatter
 
 
 class GridGuardError(ValueError):
@@ -85,10 +87,13 @@ class BeamProfile:
 def _smooth_step(x: np.ndarray) -> np.ndarray:
     """C-infinity ramp: 0 for x <= 0, 1 for x >= 1."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return a / (a + b)
+    out = np.where(x >= 1, 1.0, 0.0)
+    ramp = (x > 0) & (x < 1)
+    xr = x[ramp]
+    a = np.exp(-1.0 / np.maximum(xr, 1e-300))  # -1/x overflows at subnormal x
+    b = np.exp(-1.0 / (1.0 - xr))
+    out[ramp] = a / (a + b)
+    return out
 
 
 def sample_pulse(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
@@ -115,51 +120,36 @@ def time_grid(pulse: PulseSpec, dt_factor: int = 16,
     return (np.arange(n) - n // 2) * dt
 
 
-def _channel_coefficients(scenario: Scenario, omegas: np.ndarray,
-                          channel: Channel, fixed_kx: bool) -> np.ndarray:
+def _one_sided(values: np.ndarray, dt: float):
+    """Analytic spectrum 2 X(omega) on the bins omega > 0, with those omega."""
+    n = len(values)
+    positive = slice(1, (n + 1) // 2)
+    return (2.0 * np.fft.rfft(values)[positive],
+            2 * math.pi * np.fft.rfftfreq(n, dt)[positive])
+
+
+def _analytic(one_sided: np.ndarray, n: int) -> np.ndarray:
+    """Length-n analytic signal whose spectrum is ``one_sided`` on omega > 0."""
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[1:len(one_sided) + 1] = one_sided
+    return np.fft.ifft(spectrum)
+
+
+def _filtered(one_sided: np.ndarray, omegas: np.ndarray, n: int,
+              scenario: Scenario, channel: Channel,
+              fixed_kx: bool) -> np.ndarray:
+    """Analytic output signal of one channel."""
     if channel is Channel.REFLECTION and scenario.d == 0:
         raise DegenerateChannelError("reflection vanishes identically at d=0")
     if fixed_kx:
         kx = np.full_like(omegas, wavevectors(scenario).k_x)
-        res = scatter(scenario, omegas, kx, evanescent_drive=True)
     else:
-        slope = scenario.n * math.sin(scenario.theta) / scenario.c
-        res = scatter(scenario, omegas, slope * omegas)
-    return res.t if channel is Channel.TRANSMISSION else res.r
-
-
-def _filtered_analytic(values: np.ndarray, dt: float, scenario: Scenario,
-                       channel: Channel, fixed_kx: bool):
-    """One-sided spectra in and out; returns (analytic_in, analytic_out)."""
-    n = len(values)
-    spectrum = np.fft.fft(values)
-    omegas = 2 * math.pi * np.fft.fftfreq(n, dt)
-    pos = omegas > 0
-    one_sided = np.where(pos, 2.0 * spectrum, 0.0)
-    coef = np.ones(n, dtype=complex)
+        kx = scenario.n * math.sin(scenario.theta) / scenario.c * omegas
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, prop, den, r_num = _transfer(scenario, omegas, kx, fixed_kx)
+        coef = (prop if channel is Channel.TRANSMISSION else r_num) / den
     # conjugate: physical coefficients are defined for e^{-i omega t}
-    coef[pos] = np.conj(_channel_coefficients(scenario, omegas[pos],
-                                              channel, fixed_kx))
-    analytic_in = np.fft.ifft(one_sided)
-    analytic_out = np.fft.ifft(one_sided * coef)
-    return analytic_in, analytic_out
-
-
-def apply_channel(values: np.ndarray, dt: float, scenario: Scenario,
-                  channel: Channel = Channel.TRANSMISSION,
-                  fixed_kx: bool = False) -> np.ndarray:
-    """Filter real field samples through the channel; returns real samples."""
-    _, out = _filtered_analytic(np.asarray(values, dtype=float), dt,
-                                scenario, channel, fixed_kx)
-    return out.real
-
-
-def analytic_envelope(values: np.ndarray) -> np.ndarray:
-    """Envelope |analytic signal| from the one-sided spectrum."""
-    n = len(values)
-    spectrum = np.fft.fft(np.asarray(values, dtype=float))
-    pos = 2 * math.pi * np.fft.fftfreq(n, 1.0) > 0
-    return np.abs(np.fft.ifft(np.where(pos, 2.0 * spectrum, 0.0)))
+    return _analytic(one_sided * np.conj(coef), n)
 
 
 def _peak_time(t: np.ndarray, env: np.ndarray) -> float:
@@ -217,9 +207,10 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     """
     _check_quasi_monochromatic(pulse)
     t = time_grid(pulse, dt_factor, span_factor)
-    x = sample_pulse(pulse, t)
-    analytic_in, analytic_out = _filtered_analytic(
-        x, t[1] - t[0], scenario, channel, fixed_kx=False)
+    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
+    analytic_in = _analytic(one_sided, len(t))
+    analytic_out = _filtered(one_sided, omegas, len(t), scenario, channel,
+                             fixed_kx=False)
     env_in, env_out = np.abs(analytic_in), np.abs(analytic_out)
     report = PulseReport(
         peak_time=_peak_time(t, env_out) - _peak_time(t, env_in),
@@ -242,14 +233,14 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec,
     reported as measured; the gapped pulse arrives later, so the value is
     negative in the evanescent regime, and its magnitude matches the
     fixed-angle phase-derivative delay at the carrier.
+    At d = 0, t = 1 exactly, so the closed-prism peak time is exactly 0.0
+    and only the gapped pulse is synthesized.
     """
     if scenario.d == 0:
         return 0.0
-    _, closed = propagate_pulse(replace(scenario, d=0.0), pulse,
-                                Channel.TRANSMISSION, dt_factor, span_factor)
     _, gapped = propagate_pulse(scenario, pulse,
                                 Channel.TRANSMISSION, dt_factor, span_factor)
-    return closed.peak_time - gapped.peak_time
+    return 0.0 - gapped.peak_time
 
 
 def front_causality_check(scenario: Scenario, pulse: PulseSpec,
@@ -272,10 +263,9 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     t = time_grid(pulse, dt_factor, span_factor)
     if pulse.front_time <= t[0] or pulse.front_time >= t[-1]:
         raise GridGuardError("front_time outside the synthesis window")
-    x = sample_pulse(pulse, t)
-    _, analytic_out = _filtered_analytic(
-        x, t[1] - t[0], scenario, Channel.TRANSMISSION, fixed_kx=True)
-    env = np.abs(analytic_out)
+    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
+    env = np.abs(_filtered(one_sided, omegas, len(t), scenario,
+                           Channel.TRANSMISSION, fixed_kx=True))
     arrival = pulse.front_time + scenario.d / scenario.c
     pre_front = t < arrival
     if not pre_front.any():
@@ -315,9 +305,12 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
     kx0 = wavevectors(scenario, omega).k_x
     length = span_factor * beam.waist
     x = (np.arange(n_points) - n_points // 2) * (length / n_points)
-    field_in = np.exp(-(x / beam.waist) ** 2)
-    spectrum = np.fft.fft(field_in)
     k_rel = 2 * math.pi * np.fft.fftfreq(n_points, length / n_points)
+    # closed-form DFT of exp(-(x/w)^2), origin at sample 0 (fftshift moves
+    # it to x = 0): exact, so the tails that survive e^{-kappa d} are not
+    # FFT round-off
+    spectrum = (beam.waist * math.sqrt(math.pi) * n_points / length
+                * np.exp(-(k_rel * beam.waist / 2) ** 2))
     kx = kx0 + k_rel
 
     # components evanescent on the prism side cannot be launched; they must
@@ -336,8 +329,8 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
     res = scatter(scenario, omega, kx[launchable])
     coef[launchable] = res.t if channel is Channel.TRANSMISSION else res.r
 
-    field_out = np.fft.ifft(spectrum * coef)
-    field_ref = np.fft.ifft(np.where(launchable, spectrum, 0.0))
+    field_out = np.fft.fftshift(np.fft.ifft(spectrum * coef))
+    field_ref = np.fft.fftshift(np.fft.ifft(np.where(launchable, spectrum, 0.0)))
     intensity = np.abs(field_out) ** 2
     intensity_ref = np.abs(field_ref) ** 2
     centroid = float(np.sum(x * intensity) / np.sum(intensity))

@@ -9,6 +9,7 @@ from evanesce import (
     Polarization, Scenario, approx_transmission, attenuation_db_per_mm,
     gap_attenuation_db, RegimeError, scatter, wavevectors,
 )
+from evanesce.scattering import _matching_constants
 from conftest import random_scenario
 
 
@@ -201,6 +202,70 @@ class TestScalarArrayParity:
                       1.01 * headline.n * headline.omega / headline.c,
                       evanescent_drive=True)
         assert np.isfinite(res.t.real)
+
+
+def inline_scatter(scenario, omega, k_x, evanescent_drive=False):
+    """``scatter``'s closed form written out in one function, in its
+    operation order, as the bitwise reference for the shared kernel."""
+    omega_a = np.asarray(omega, dtype=float)
+    kx_a = np.asarray(k_x, dtype=float)
+    alpha_hat, beta = _matching_constants(scenario, omega_a, kx_a,
+                                          evanescent_drive)
+    d = scenario.d
+    phi = beta * d
+    prop = np.exp(1j * phi)
+    e_sin = np.expm1(2j * phi) / 2j
+    small = np.abs(phi) < 1e-8
+    beta_safe = np.where(small, 1.0, beta)
+    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_term = alpha_hat * e_sin_over_beta
+        b_term = beta * e_sin / alpha_hat
+        den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)
+        t = prop / den
+        r = -0.5j * (a_term - b_term) / den
+        ratio = alpha_hat / beta
+        c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
+        d_amp = 0.5 * t * (1 - ratio) * prop
+    return r, t, c_amp, d_amp, beta
+
+
+class TestSharedKernel:
+    """``scatter`` and the spectral synthesis share ``_transfer``; its
+    five fields must keep every bit of the closed form."""
+
+    @staticmethod
+    def assert_bitwise(res, want):
+        got = (res.r, res.t, res.c_amp, res.d_amp, res.k_z_gap)
+        for g, w in zip(got, want):
+            g, w = np.asarray(g, dtype=complex), np.asarray(w, dtype=complex)
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_scalar_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            s = random_scenario(rng, tunneling=bool(rng.random() < 0.7))
+            omega = s.omega * rng.uniform(0.5, 2.0)
+            kx = wavevectors(s, omega).k_x
+            self.assert_bitwise(scatter(s, omega, kx),
+                                inline_scatter(s, omega, kx))
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.0)
+        self.assert_bitwise(scatter(s), inline_scatter(s, s.omega,
+                                                       wavevectors(s).k_x))
+
+    def test_array_inputs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            s = random_scenario(rng, tunneling=bool(rng.random() < 0.7))
+            omegas = s.omega * rng.uniform(0.5, 2.0, 257)
+            slope = s.n * math.sin(s.theta) / s.c
+            self.assert_bitwise(scatter(s, omegas, slope * omegas),
+                                inline_scatter(s, omegas, slope * omegas))
+            kx = np.full_like(omegas, wavevectors(s).k_x)
+            self.assert_bitwise(
+                scatter(s, omegas, kx, evanescent_drive=True),
+                inline_scatter(s, omegas, kx, evanescent_drive=True))
 
 
 class TestTransmissionNumbers:

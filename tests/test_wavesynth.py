@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from evanesce import (
-    BeamSpec, Channel, DegenerateChannelError, GridGuardError, PulseSpec,
-    Scenario, beam_centroid_shift, differential_delay, front_causality_check,
-    goos_hanchen_shift, phase_delay, propagate_pulse, quasi_static_ratio,
-    scatter, vacuum_wavelength, wavevectors,
+    BeamSpec, Channel, DegenerateChannelError, GridGuardError, Polarization,
+    PulseSpec, Scenario, beam_centroid_shift, differential_delay,
+    front_causality_check, goos_hanchen_shift, phase_delay, propagate_pulse,
+    quasi_static_ratio, scatter, vacuum_wavelength, wavevectors,
 )
+from evanesce import wavesynth
 from evanesce.wavesynth import (
-    analytic_envelope, apply_channel, is_quasi_static, sample_pulse, time_grid,
+    _smooth_step, is_quasi_static, sample_pulse, time_grid,
 )
-from conftest import random_scenario
+from conftest import HEADLINE, random_scenario
+from spectral_reference import (
+    analytic_envelope, apply_channel, filtered_analytic,
+)
 
 PULSE = PulseSpec(fwhm=16e-9, carrier=9.15e9)
 
@@ -169,6 +173,114 @@ class TestFrontCausality:
         assert np.abs(out[pre]).max() / np.abs(out).max() < 1e-8
 
 
+def equivalence_cases(polarization, fwhm_cycles):
+    """The headline pulse, then five random tunneling scenarios with a
+    pulse of fwhm_cycles carrier cycles."""
+    yield Scenario(**HEADLINE, polarization=polarization), PULSE
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        s = random_scenario(rng, polarization=polarization)
+        yield s, PulseSpec(fwhm=fwhm_cycles / s.f, carrier=s.f)
+
+
+class TestReferenceEquivalence:
+    """The one-sided real FFT with one closed-form coefficient reproduces
+    the full-spectrum pipeline of ``spectral_reference`` to round-off.
+
+    Both pipelines round at the scale of the incident signal's transform,
+    so each bound adds 1e-15 of the incident peak: in the thicker random
+    gaps |t| is ~1e-6 and that round-off is up to ~5e-12 of the
+    transmitted peak.
+    """
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_propagated_series(self, polarization, channel):
+        for s, pulse in equivalence_cases(polarization, 150):
+            series, _ = propagate_pulse(s, pulse, channel)
+            t = series.t_samples
+            x = sample_pulse(pulse, t)
+            want = apply_channel(x, t[1] - t[0], s, channel)
+            assert np.max(np.abs(series.values - want)) \
+                <= 1e-13 * np.max(np.abs(want)) + 1e-15 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_front_causality_leakage(self, polarization):
+        for s, pulse in equivalence_cases(polarization, 40):
+            front = PulseSpec(fwhm=pulse.fwhm, carrier=pulse.carrier,
+                              front_time=-3 * pulse.sigma)
+            for dt_factor in (16, 32):
+                t = time_grid(front, dt_factor, 64)
+                x = sample_pulse(front, t)
+                _, out = filtered_analytic(x, t[1] - t[0], s, fixed_kx=True)
+                env = np.abs(out)
+                pre = t < front.front_time + s.d / s.c
+                want = env[pre].max() / env.max()
+                got = front_causality_check(s, front, dt_factor)
+                assert abs(got - want) \
+                    <= 1e-13 + 1e-15 * np.max(np.abs(x)) / env.max()
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_differential_delay_is_minus_gapped_peak(self, polarization):
+        for s, pulse in equivalence_cases(polarization, 150):
+            _, gapped = propagate_pulse(s, pulse)
+            assert differential_delay(s, pulse) == -gapped.peak_time
+            # the closed-prism peak the subtraction leaves out is exactly 0
+            _, closed = propagate_pulse(replace(s, d=0.0), pulse)
+            assert closed.peak_time == 0.0
+
+    def test_smooth_step_bitwise(self):
+        def ramp(x):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                a = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+                b = np.where(x < 1, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)),
+                             0.0)
+            return a / (a + b)
+
+        x = np.concatenate([
+            np.linspace(-0.5, 1.5, 20001),
+            [0.0, -0.0, 1.0, 1e-300, 5e-324, 1e-310, 2e-300, 1e-3, 0.999,
+             1 - 2.0 ** -53, 1 - 2.0 ** -52, 1 + 2.0 ** -52, -1e300, 1e300],
+        ])
+        got, want = _smooth_step(x), ramp(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSavedWork:
+    """Counts of the transforms and propagations the outputs need."""
+
+    def test_front_causality_transforms(self, headline, monkeypatch):
+        calls = []
+        for name in ("fft", "rfft", "ifft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, len(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        pulse = front_pulse()
+        n = len(time_grid(pulse, 16, 64))
+        front_causality_check(headline, pulse)
+        forward = [c for c in calls if c[0] in ("fft", "rfft")]
+        inverse = [c for c in calls if c[0] in ("ifft", "irfft")]
+        assert len(forward) == 1
+        assert inverse == [("ifft", n)]
+
+    def test_differential_delay_propagates_once(self, headline, monkeypatch):
+        calls = []
+        real = wavesynth.propagate_pulse
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].d)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wavesynth, "propagate_pulse", counted)
+        differential_delay(headline, PULSE)
+        assert calls == [headline.d]
+
+
 class TestQuasiStatic:
     def test_headline_ratio(self, headline):
         assert quasi_static_ratio(headline, PULSE) == pytest.approx(120.0, rel=1e-9)
@@ -200,6 +312,28 @@ class TestBeam:
                          / np.sum(profile.intensity))
         assert profile.centroid == pytest.approx(weighted, rel=1e-12)
         assert np.all(profile.intensity >= 0)
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_wide_gap_matches_weighted_gh_shift(self, headline, polarization):
+        # At 500 mm the transmitted spectrum is ~e^{-50} of the input, far
+        # below the round-off of an FFT of the sampled input, so only an
+        # exact input spectrum gives the centroid: the |S t|^2-weighted mean
+        # of the plane-wave GH shifts over the grid's evanescent k_x.
+        s = replace(headline, d=0.5, polarization=polarization)
+        waist = 20 * vacuum_wavelength(s.f)
+        n_points, length = 4096, 32 * waist
+        k0 = s.omega / s.c
+        kx = wavevectors(s).k_x + 2 * math.pi * np.fft.fftfreq(
+            n_points, length / n_points)
+        kx = kx[(kx > k0) & (kx < s.n * k0)]
+        weight = (np.exp(-(kx - wavevectors(s).k_x) ** 2 * waist ** 2 / 2)
+                  * np.abs(scatter(s, s.omega, kx).t) ** 2)
+        shifts = np.array([
+            goos_hanchen_shift(replace(s, theta=math.asin(k / (s.n * k0))))
+            for k in kx])
+        oracle = float(np.sum(weight * shifts) / np.sum(weight))
+        profile = beam_centroid_shift(s, BeamSpec(waist=waist))
+        assert profile.centroid_shift == pytest.approx(oracle, rel=1e-9)
 
     def test_waist_guard(self, headline):
         lam = vacuum_wavelength(headline.f)
