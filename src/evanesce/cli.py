@@ -4,7 +4,8 @@ Units at this boundary are human-scale (GHz, degrees, mm, ns, cm, ps); the
 library core is SI throughout.  Output is deterministic: identical
 configuration gives byte-identical bytes, with the version header opt-in.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or a
+request that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -389,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: {args.command} request does not fit in "
+                         f"memory{detail}\n")
         return 3
 
 

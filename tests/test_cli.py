@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from evanesce import SweepTable
+from evanesce import SweepTable, cli
 
 C = 3.0e8
 
@@ -251,6 +251,30 @@ class TestCausalityCommand:
         assert payload["leakage_ratio"] < 1e-6
         assert payload["self_convergent"] is True
         assert payload["front_arrival_ns"] > payload["front_time_ns"]
+
+
+class TestOutOfMemory:
+    """A request too large for memory exits 3 with one line, no traceback."""
+
+    @pytest.mark.parametrize("command", ["pulse", "causality"])
+    def test_oversized_grid(self, command, capsys):
+        # 1e12 ns asks for 2^52-2^54 samples: the first allocation fails at
+        # once, whatever the machine, so no memory is touched
+        assert cli.main([command, "--fwhm-ns", "1e12"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command} request does not fit in memory")
+        assert err.count("\n") == 1
+
+    def test_hartman_sweep(self, monkeypatch, capsys):
+        # a stand-in for a sweep too long for memory; the gap list is built
+        # before the sweep, so the step count stays small here
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "hartman_sweep", exhausted)
+        assert cli.main(["hartman"]) == 3
+        assert capsys.readouterr().err == (
+            "error: hartman request does not fit in memory\n")
 
 
 class TestConfigFile:
