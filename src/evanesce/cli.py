@@ -33,7 +33,7 @@ from .energy import (
 from .scattering import (
     approx_transmission, attenuation_db_per_mm, gap_attenuation_db, scatter,
 )
-from .sweep import SweepTable
+from .sweep import to_csv
 from .wavesynth import (
     GridGuardError, beam_centroid_shift, front_causality_check,
     is_quasi_static, propagate_pulse, quasi_static_ratio,
@@ -234,34 +234,26 @@ def cmd_hartman(args: argparse.Namespace) -> int:
         raise ConfigError("need 0 < d-min-mm < d-max-mm")
     if args.d_steps < 2:
         raise ConfigError("need at least 2 sweep points")
-    d_values = [
-        (args.d_min_mm + i * (args.d_max_mm - args.d_min_mm) / (args.d_steps - 1))
-        * 1e-3
-        for i in range(args.d_steps)
-    ]
-    table = hartman_sweep(scenario, d_values, Channel.TRANSMISSION)
-    # stored energy is per-area energy times the GH shift s already in the
-    # table; s cancels from the dwell time, and the flux is independent of d
+    # one array, sized before it is built: a step count too large for memory
+    # fails at once with MemoryError
+    d = (args.d_min_mm + np.arange(args.d_steps, dtype=float)
+         * (args.d_max_mm - args.d_min_mm) / (args.d_steps - 1)) * 1e-3
+    bd = hartman_sweep(scenario, d, Channel.TRANSMISSION)
+    # stored energy is per-area energy times the GH shift s already swept;
+    # s cancels from the dwell time, and the flux is independent of d
     flux = incident_flux(scenario, scenario.omega, wavevectors(scenario).k_x)
-    per_area = [integrated_density(replace(scenario, d=dv)) for dv in d_values]
-    u_ref = per_area[-1] * table.rows[-1][2]
-    rows = tuple(
-        (
-            row[0] * 1e3,            # d_mm
-            row[1] * 1e12,           # tau0_ps
-            row[2] * 1e2,            # s_cm
-            row[3] * 1e12,           # tau_g_ps
-            u / flux * 1e12,         # dwell_ps
-            u * row[2] / u_ref,      # U_norm
-        )
-        for row, u in zip(table.rows, per_area)
-    )
-    out = SweepTable(
-        columns=("d_mm", "tau0_ps", "s_cm", "tau_g_ps", "dwell_ps", "U_norm"),
-        rows=rows,
-    )
-    _write_csv(out.to_csv(fmt="%.6g", header_lines=_csv_header_lines(args)),
-               args.out)
+    per_area = np.array([integrated_density(replace(scenario, d=dv))
+                         for dv in d.tolist()])
+    s = bd.gh_shift
+    # normalized to the widest gap as a product of ratios, each of order
+    # one, so that nothing underflows at the narrowest gaps
+    u_norm = (per_area / per_area[-1]) * (s / s[-1])
+    text = to_csv(
+        ("d_mm", "tau0_ps", "s_cm", "tau_g_ps", "dwell_ps", "U_norm"),
+        (d * 1e3, bd.phase_delay * 1e12, s * 1e2, bd.group_delay * 1e12,
+         per_area / flux * 1e12, u_norm),
+        "%.6g", _csv_header_lines(args))
+    _write_csv(text, args.out)
     return 0
 
 
@@ -270,13 +262,10 @@ def cmd_pulse(args: argparse.Namespace) -> int:
     _reject_below_critical(scenario)
     pulse = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
     series, report = propagate_pulse(scenario, pulse, _channel(args))
-    table = SweepTable(
-        columns=("t_ns", "field"),
-        rows=tuple((tv * 1e9, fv) for tv, fv in
-                   zip(series.t_samples.tolist(), series.values.tolist())),
-    )
     if args.out is not None:
-        _write_csv(table.to_csv(header_lines=_csv_header_lines(args)), args.out)
+        _write_csv(to_csv(("t_ns", "field"),
+                          (series.t_samples * 1e9, series.values),
+                          "%r", _csv_header_lines(args)), args.out)
     _emit_json({
         "channel": series.channel.value,
         "fwhm_ns": report.fwhm * 1e9,
@@ -299,12 +288,9 @@ def cmd_beam(args: argparse.Namespace) -> int:
     channel = _channel(args)
     profile = beam_centroid_shift(scenario, beam, channel)
     if args.out is not None:
-        table = SweepTable(
-            columns=("x_cm", "intensity"),
-            rows=tuple((xv * 100, iv) for xv, iv in
-                       zip(profile.x_samples.tolist(), profile.intensity.tolist())),
-        )
-        _write_csv(table.to_csv(header_lines=_csv_header_lines(args)), args.out)
+        _write_csv(to_csv(("x_cm", "intensity"),
+                          (profile.x_samples * 100, profile.intensity),
+                          "%r", _csv_header_lines(args)), args.out)
     _emit_json({
         "channel": channel.value,
         "waist_wavelengths": args.waist_wavelengths,

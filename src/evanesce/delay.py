@@ -47,8 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import Polarization, Scenario, wavevectors
-from .scattering import _matching_constants
-from .sweep import SweepTable
 
 
 class Channel(str, Enum):
@@ -60,50 +58,18 @@ class DegenerateChannelError(ValueError):
     """Channel coefficient is identically zero, so its phase is undefined."""
 
 
-def channel_phase(scenario: Scenario, omega: float | None = None,
-                  k_x: float | None = None,
-                  channel: Channel = Channel.TRANSMISSION) -> float:
-    """Principal-value phase [rad] of the channel coefficient.
-
-    Taken from t = 4 e^{i beta d}/((2 + q)(1 + rho E)) and
-    r = (alpha_hat/beta - beta/alpha_hat)(1 - E)/((2 + q)(1 + rho E)), of
-    which only bounded factors are formed, so the phase is defined at any
-    gap width, also where |t| underflows to 0.
-    """
-    if omega is None:
-        omega = scenario.omega
-    if k_x is None:
-        k_x = wavevectors(scenario, omega).k_x
-    alpha_hat, beta = _matching_constants(scenario, omega, k_x, False)
-    d = scenario.d
-    if beta == 0:
-        # light line k_x = omega/c, where q is infinite: the limit
-        # e^{i phi} sin(phi)/beta -> d gives 4 den = 4 - 2i alpha_hat d
-        four_den, t_num, r_num = 4 - 2j * alpha_hat * d, 1, -2j * alpha_hat * d
-    else:
-        q = alpha_hat / beta + beta / alpha_hat
-        four_den = (2 + q) * (1 + (2 - q) / (2 + q) * np.exp(2j * beta * d))
-        # the phase of e^{i beta d} without its (underflowing) magnitude
-        t_num = np.exp(1j * beta.real * d)
-        r_num = -(alpha_hat / beta - beta / alpha_hat) * np.expm1(2j * beta * d)
-    numerator = t_num if channel is Channel.TRANSMISSION else r_num
-    if numerator == 0:
-        raise DegenerateChannelError(
-            f"{channel.value} coefficient is zero (d={d}); phase undefined")
-    return float(np.angle(numerator / four_den))
-
-
 @dataclass(frozen=True)
 class DelayBreakdown:
     """Group delay split into its phase and lateral-transport terms.
 
     ``group_delay = phase_delay + gh_shift * n sin(theta)/c`` holds exactly
-    by construction.
+    by construction.  The fields are floats for one gap width and arrays,
+    one entry per width, from ``hartman_sweep``.
     """
 
-    phase_delay: float  # s, frequency-derivative term (tau_0)
-    gh_shift: float     # m, Goos-Hanchen lateral shift (s)
-    group_delay: float  # s, total (tau_g)
+    phase_delay: float | np.ndarray  # s, frequency-derivative term (tau_0)
+    gh_shift: float | np.ndarray     # m, Goos-Hanchen lateral shift (s)
+    group_delay: float | np.ndarray  # s, total (tau_g)
     channel: Channel
 
 
@@ -178,11 +144,12 @@ def shift_implied_by_delay(scenario: Scenario, tau_g: float) -> float:
 
 
 def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
-                  channel: Channel = Channel.TRANSMISSION) -> SweepTable:
+                  channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
     """Delay breakdown versus gap width.
 
-    ``d_values`` must be positive, finite and ascending.  Columns are SI:
-    (d, tau0, s, tau_g), all evaluated at once over the ``d`` array.
+    ``d_values`` must be positive, finite and ascending.  The breakdown
+    holds one SI array per term, entry i at ``d_values[i]``, all evaluated
+    at once over the ``d`` array.
     """
     d = np.asarray(d_values, dtype=float)
     if d.size == 0:
@@ -193,5 +160,4 @@ def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
         raise ValueError("d_values must be strictly ascending")
     tau0, shift = _delays(scenario, d, channel)
     tau_g = tau0 + shift * _lateral_slowness(scenario)
-    rows = tuple(zip(d.tolist(), tau0.tolist(), shift.tolist(), tau_g.tolist()))
-    return SweepTable(columns=("d", "tau0", "s", "tau_g"), rows=rows)
+    return DelayBreakdown(tau0, shift, tau_g, channel)

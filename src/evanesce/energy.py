@@ -1,4 +1,4 @@
-"""In-gap field profile, stored energy, and the dwell-time picture.
+"""Stored energy of the gap field, and the dwell-time picture.
 
 The gap field is the two-component standing profile
 C e^{+i k_z z} + D e^{-i k_z z} fixed by the boundary matching; in the
@@ -25,28 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .core import Polarization, Scenario, wavevectors
 from .delay import Channel, goos_hanchen_shift
 from .scattering import ScatterResult, scatter
-
-
-@dataclass(frozen=True)
-class GapFieldProfile:
-    """Sampled gap field and its time-averaged energy density.
-
-    ``field`` is the principal matched field (E_y for TE, H_y for TM),
-    normalized to a unit incident amplitude.  ``evanescent`` records the
-    regime; below the critical angle the profile is oscillatory.
-    """
-
-    z_samples: np.ndarray
-    field: np.ndarray
-    energy_density: np.ndarray
-    evanescent: bool
 
 
 @dataclass(frozen=True)
@@ -75,34 +59,6 @@ def _growing_at_exit(res: ScatterResult, d: float) -> complex:
     D ~ e^{-2 kappa d} underflows to 0 long before e^{kappa d} overflows.
     """
     return res.d_amp * np.exp(-1j * res.k_z_gap * d) if res.d_amp else 0j
-
-
-def gap_field(scenario: Scenario, omega: float | None = None,
-              k_x: float | None = None, n_samples: int = 256) -> GapFieldProfile:
-    """Sample the gap field and energy density on a uniform grid [0, d].
-
-    Below the critical angle the profile is computed all the same and the
-    regime flag is set False; only invalid inputs raise.
-    """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if omega is None:
-        omega = scenario.omega
-    if k_x is None:
-        k_x = wavevectors(scenario, omega).k_x
-    res = scatter(scenario, omega, k_x)
-    kz, d = res.k_z_gap, scenario.d
-    z = np.linspace(0.0, d, n_samples)
-    up = res.c_amp * np.exp(1j * kz * z)
-    down = _growing_at_exit(res, d) * np.exp(1j * kz * (d - z))
-    w_field, w_slope = _density_weights(scenario, omega, k_x)
-    return GapFieldProfile(
-        z_samples=z,
-        field=up + down,
-        energy_density=(w_field * np.abs(up + down) ** 2
-                        + w_slope * abs(kz) ** 2 * np.abs(up - down) ** 2),
-        evanescent=bool(kz.imag > 0),
-    )
 
 
 def _exp_integral(x: complex, d: float) -> complex:
@@ -207,10 +163,3 @@ def train_model(n_first_car: int, n_cars: int) -> tuple[int, float]:
         occupancy //= 2
     return total, total / (2 * n_first_car)
 
-
-def train_model_geometric(n_first_car: float, n_cars: int) -> tuple[Fraction, float]:
-    """Exact-halving variant: total = 2N(1 - 2^-cars), approaching 2N."""
-    if n_first_car <= 0 or n_cars < 1:
-        raise ValueError("need n_first_car > 0 and n_cars >= 1")
-    total = 2 * Fraction(n_first_car) * (1 - Fraction(1, 2 ** n_cars))
-    return total, float(total / (2 * Fraction(n_first_car)))

@@ -81,7 +81,11 @@ def _transfer(scenario: Scenario, omega, k_x, evanescent_drive: bool):
     e_sin = np.expm1(2j * phi) / 2j
     small = np.abs(phi) < 1e-8
     beta_safe = np.where(small, 1.0, beta)
-    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
+    # phi zeroed where the series is unused, so that d*phi cannot overflow
+    # at wide gaps: phi * True is phi, and a product costs far less than
+    # np.where on scalars
+    e_sin_over_beta = np.where(small, d * (1 + 1j * (phi * small)),
+                               e_sin / beta_safe)
     a_term = alpha_hat * e_sin_over_beta        # (alpha_hat/beta) e^{i phi} sin(phi)
     b_term = beta * e_sin / alpha_hat           # (beta/alpha_hat) e^{i phi} sin(phi)
     den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)  # 1 + i e^{i phi} sin = e^{i phi} cos

@@ -1,47 +1,23 @@
-"""Ordered sweep records with stable columns and their CSV form."""
+"""CSV form of column arrays: the one writer of every CSV the CLI emits."""
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Ordered (parameter, observables...) records with stable columns."""
+def to_csv(columns: Sequence[str], arrays: Sequence[np.ndarray], fmt: str,
+           header_lines: Iterable[str]) -> str:
+    """Render equal-length ``arrays`` as CSV under the header ``columns``.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} does not match {len(self.columns)} columns"
-                )
-
-    def column(self, name: str) -> list[float]:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
-    def to_csv(self, fmt: str = "%r", header_lines: Iterable[str] = ()) -> str:
-        """Render as CSV (comma, dot decimal, one header row).
-
-        ``fmt`` is the per-value printf format; the default repr keeps the
-        shortest round-trip representation.
-        """
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(fmt % v for v in row) + "\n")
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "SweepTable":
-        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        cols = tuple(lines[0].split(","))
-        rows = tuple(tuple(float(v) for v in ln.split(",")) for ln in lines[1:])
-        return SweepTable(columns=cols, rows=rows)
+    Comma separated, dot decimal, one ``# `` line per entry of
+    ``header_lines`` before the header row.  ``fmt`` is the per-value printf
+    format; ``"%r"`` keeps the shortest round-trip representation.
+    """
+    lines = [f"# {line}\n" for line in header_lines]
+    lines.append(",".join(columns) + "\n")
+    row = ",".join([fmt] * len(columns)) + "\n"
+    # tolist() yields Python floats, whose repr is the plain shortest form
+    lines.extend(row % values for values in zip(*(a.tolist() for a in arrays)))
+    return "".join(lines)

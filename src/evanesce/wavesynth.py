@@ -242,6 +242,19 @@ def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
         )
 
 
+def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel,
+                dt_factor: int, span_factor: int):
+    """(t, incident analytic signal, output analytic signal) of one channel
+    at fixed incidence angle."""
+    _check_quasi_monochromatic(pulse)
+    t = time_grid(pulse, dt_factor, span_factor)
+    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
+    analytic_in = _analytic(one_sided, len(t))
+    analytic_out = _filtered(one_sided, omegas, len(t), scenario, channel,
+                             fixed_kx=False)
+    return t, analytic_in, analytic_out
+
+
 def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
                     channel: Channel = Channel.TRANSMISSION,
                     dt_factor: int = 16,
@@ -251,12 +264,8 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     Returns the output time series on the shared grid plus envelope
     measurements referenced to the incident pulse.
     """
-    _check_quasi_monochromatic(pulse)
-    t = time_grid(pulse, dt_factor, span_factor)
-    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
-    analytic_in = _analytic(one_sided, len(t))
-    analytic_out = _filtered(one_sided, omegas, len(t), scenario, channel,
-                             fixed_kx=False)
+    t, analytic_in, analytic_out = _propagated(scenario, pulse, channel,
+                                               dt_factor, span_factor)
     env_in, env_out = np.abs(analytic_in), np.abs(analytic_out)
     report = PulseReport(
         peak_time=_peak_time(t, env_out) - _peak_time(t, env_in),
@@ -284,9 +293,11 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec,
     """
     if scenario.d == 0:
         return 0.0
-    _, gapped = propagate_pulse(scenario, pulse,
-                                Channel.TRANSMISSION, dt_factor, span_factor)
-    return 0.0 - gapped.peak_time
+    t, analytic_in, analytic_out = _propagated(
+        scenario, pulse, Channel.TRANSMISSION, dt_factor, span_factor)
+    gapped_peak = (_peak_time(t, np.abs(analytic_out))
+                   - _peak_time(t, np.abs(analytic_in)))
+    return 0.0 - gapped_peak
 
 
 def front_causality_check(scenario: Scenario, pulse: PulseSpec,

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from evanesce import cli
+
 CORPUS = Path(__file__).with_name("golden") / "corpus.json"
 
 # "{out}" stands for a fresh file path, whose contents are hashed.
@@ -86,8 +88,6 @@ CASES = [
 
 def replay(argv: list[str], workdir: str) -> dict:
     """Run one invocation through ``cli.main``; return what it printed."""
-    from evanesce import cli
-
     out_path = os.path.join(workdir, "out.csv")
     if os.path.exists(out_path):
         os.remove(out_path)

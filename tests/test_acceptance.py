@@ -118,9 +118,9 @@ def test_criterion_08_channel_delay_equality():
 def test_criterion_09_hartman_saturation():
     kappa = wavevectors(SCENARIO).kappa
     d_values = list(np.linspace(5e-3, 50e-3, 10))
-    table = hartman_sweep(SCENARIO, d_values, Channel.TRANSMISSION)
-    tau0 = np.abs(table.column("tau0"))
-    tau_g = np.array(table.column("tau_g"))
+    sweep = hartman_sweep(SCENARIO, d_values, Channel.TRANSMISSION)
+    tau0 = np.abs(sweep.phase_delay)
+    tau_g = sweep.group_delay
 
     # tau0 negligible beyond twice the in-medium wavelength, and also at
     # twice the vacuum wavelength (outside the swept range)

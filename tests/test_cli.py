@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from evanesce import SweepTable, cli
+from evanesce import cli
 
 C = 3.0e8
 
@@ -21,6 +22,13 @@ def run_cli(*args, check=True):
         raise AssertionError(
             f"CLI failed ({proc.returncode}): {proc.stderr}\n{proc.stdout}")
     return proc
+
+
+def read_csv(text):
+    """The columns of a CLI CSV as {name: [float, ...]}, in header order."""
+    header, *rows = csv.reader(
+        line for line in text.splitlines() if not line.startswith("#"))
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
 
 
 def parse_report(text):
@@ -84,17 +92,17 @@ class TestHartmanCommand:
     def test_csv_contract(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli("hartman", "--out", str(out))
-        table = SweepTable.from_csv(out.read_text())
-        assert table.columns == ("d_mm", "tau0_ps", "s_cm", "tau_g_ps",
-                                 "dwell_ps", "U_norm")
-        assert len(table.rows) == 10
-        d = table.column("d_mm")
+        table = read_csv(out.read_text())
+        assert tuple(table) == ("d_mm", "tau0_ps", "s_cm", "tau_g_ps",
+                                "dwell_ps", "U_norm")
+        d = table["d_mm"]
+        assert len(d) == 10
         assert d[0] == 5 and d[-1] == 50
-        tau_g = table.column("tau_g_ps")
+        tau_g = table["tau_g_ps"]
         assert abs(tau_g[-1] / tau_g[7] - 1) < 0.01  # saturation by 40 mm
-        assert table.column("U_norm")[-1] == 1
+        assert table["U_norm"][-1] == 1
         # 100 ps scale: tau_g at saturation once s reaches 2.65 cm
-        s_cm = table.column("s_cm")
+        s_cm = table["s_cm"]
         n_sin = 1.6 * math.sin(math.radians(45))
         implied_ps = 2.65e-2 * n_sin / C * 1e12
         assert implied_ps == pytest.approx(100, rel=0.005)
@@ -105,10 +113,10 @@ class TestHartmanCommand:
         from evanesce import Channel, Scenario, total_group_delay
         proc = run_cli("hartman", "--d-min-mm", "39",
                        "--d-max-mm", "40", "--d-steps", "2")
-        table = SweepTable.from_csv(proc.stdout)
+        table = read_csv(proc.stdout)
         s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.040)
         bd = total_group_delay(s, Channel.TRANSMISSION)
-        assert table.column("tau_g_ps")[-1] == pytest.approx(
+        assert table["tau_g_ps"][-1] == pytest.approx(
             bd.group_delay * 1e12, rel=1e-4)
 
     def test_range_validation(self):
@@ -118,20 +126,29 @@ class TestHartmanCommand:
 
     def test_dwell_saturated_at_meter_gaps(self):
         # 400 mm to 2 m in 200 mm steps; the dwell time stays saturated
-        table = SweepTable.from_csv(run_cli(
+        table = read_csv(run_cli(
             "hartman", "--d-min-mm", "400", "--d-max-mm", "2000",
             "--d-steps", "9").stdout)
-        dwell = dict(zip(table.column("d_mm"), table.column("dwell_ps")))
+        dwell = dict(zip(table["d_mm"], table["dwell_ps"]))
         for d_mm in (400, 1000, 2000):
             assert dwell[d_mm] == 61.0296
 
+    def test_u_norm_without_underflow(self, capsys):
+        # per_area[-1] * s[-1] underflows to 0 at these widths; U_norm as a
+        # product of ratios of order one prints as it does at 1e-150 mm
+        assert cli.main(["hartman", "--d-min-mm", "1e-300", "--d-max-mm", "1e-299",
+                         "--d-steps", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert read_csv(out)["U_norm"] == [0.01, 0.3025, 1.0]
+        assert err == ""
+
     def test_tm_sweep_past_seven_meters(self):
         # t is subnormal here; the delays do not differentiate t
-        table = SweepTable.from_csv(run_cli(
+        table = read_csv(run_cli(
             "hartman", "--polarization", "TM", "--d-min-mm", "7000",
             "--d-max-mm", "7100", "--d-steps", "3").stdout)
-        assert table.column("tau0_ps") == [0.0] * 3
-        assert table.column("s_cm") == [2.52858] * 3
+        assert table["tau0_ps"] == [0.0] * 3
+        assert table["s_cm"] == [2.52858] * 3
 
 
 class TestPulseCommand:
@@ -144,17 +161,19 @@ class TestPulseCommand:
         assert payload["spatial_extent_m"] == pytest.approx(4.8, rel=1e-9)
         assert payload["quasi_static_ratio"] == pytest.approx(120.0, rel=1e-9)
         assert payload["quasi_static"] is True
-        table = SweepTable.from_csv(out.read_text())
-        assert table.columns == ("t_ns", "field")
-        values = np.array(table.column("field"))
+        table = read_csv(out.read_text())
+        assert tuple(table) == ("t_ns", "field")
+        values = np.array(table["field"])
         assert np.max(np.abs(values)) == pytest.approx(
             payload["peak_amplitude"], rel=0.01)
 
     def test_round_trip_at_printed_precision(self, tmp_path):
         out = tmp_path / "pulse.csv"
         run_cli("pulse", "--out", str(out))
-        text = out.read_text()
-        assert SweepTable.from_csv(text).to_csv() == text
+        header, *rows = out.read_text().splitlines()
+        assert header == "t_ns,field"
+        # every field is the shortest repr of its float
+        assert rows and all(repr(float(v)) == v for row in rows for v in row.split(","))
 
 
 class TestBeamCommand:
@@ -190,9 +209,9 @@ class TestBeamCommand:
     def test_profile_csv(self, tmp_path):
         out = tmp_path / "beam.csv"
         run_cli("beam", "--out", str(out))
-        table = SweepTable.from_csv(out.read_text())
-        assert table.columns == ("x_cm", "intensity")
-        assert min(table.column("intensity")) >= 0
+        table = read_csv(out.read_text())
+        assert tuple(table) == ("x_cm", "intensity")
+        assert min(table["intensity"]) >= 0
 
 
 class TestEnergyCommand:
@@ -230,11 +249,11 @@ class TestTenMeterGap:
     """t underflows to 0 past ~7.4 m; no command needs t itself."""
 
     def test_hartman(self):
-        table = SweepTable.from_csv(run_cli(
+        table = read_csv(run_cli(
             "hartman", "--d-min-mm", "9000", "--d-max-mm", "10000",
             "--d-steps", "3").stdout)
-        assert table.column("s_cm") == [1.97229] * 3
-        assert table.column("dwell_ps") == [61.0296] * 3
+        assert table["s_cm"] == [1.97229] * 3
+        assert table["dwell_ps"] == [61.0296] * 3
 
     def test_energy(self):
         payload = json.loads(run_cli("energy", "--d-mm", "10000").stdout)
@@ -265,9 +284,16 @@ class TestOutOfMemory:
         assert err.startswith(f"error: {command} request does not fit in memory")
         assert err.count("\n") == 1
 
+    def test_hartman_step_count(self, capsys):
+        # the gap widths are one array sized before it is built: 71 PiB
+        # fails at once, whatever the machine, so no memory is touched
+        assert cli.main(["hartman", "--d-steps", "10000000000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: hartman request does not fit in memory")
+        assert err.count("\n") == 1
+
     def test_hartman_sweep(self, monkeypatch, capsys):
-        # a stand-in for a sweep too long for memory; the gap list is built
-        # before the sweep, so the step count stays small here
+        # a stand-in for a sweep too long for memory
         def exhausted(*args, **kwargs):
             raise MemoryError
 

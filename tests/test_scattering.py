@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -141,6 +142,20 @@ class TestWideGaps:
     def test_transmission_underflows_to_zero(self, headline):
         s = Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=10.0)
         assert scatter(s).t == 0
+
+    @pytest.mark.parametrize("polarization", [Polarization.TE, Polarization.TM])
+    def test_no_overflow_at_1e300_mm(self, headline, polarization):
+        # the small-phase series d (1 + i phi), unused at this width, was
+        # evaluated all the same and overflowed with a RuntimeWarning
+        s = Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=1e297,
+                     polarization=polarization)
+        omegas = s.omega * np.array([0.9, 1.0, 1.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = scatter(s)
+            arr = scatter(s, omegas, s.n * math.sin(s.theta) / s.c * omegas)
+        assert res.t == 0 and abs(abs(res.r) - 1) <= 1e-12
+        assert np.all(arr.t == 0) and np.all(np.abs(np.abs(arr.r) - 1) <= 1e-12)
 
 
 class TestAsymptotics:

@@ -273,15 +273,26 @@ class TestSavedWork:
 
     def test_differential_delay_propagates_once(self, headline, monkeypatch):
         calls = []
-        real = wavesynth.propagate_pulse
+        real = wavesynth._propagated
 
         def counted(*args, **kwargs):
             calls.append(args[0].d)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(wavesynth, "propagate_pulse", counted)
+        monkeypatch.setattr(wavesynth, "_propagated", counted)
         differential_delay(headline, PULSE)
         assert calls == [headline.d]
+
+    def test_differential_delay_builds_no_report(self, headline, monkeypatch):
+        # only the peak times are used: no width, no correlation
+        want = 0.0 - propagate_pulse(headline, PULSE)[1].peak_time
+
+        def unused(*args, **kwargs):
+            raise AssertionError("differential_delay measured more than peaks")
+
+        monkeypatch.setattr(wavesynth, "_fwhm", unused)
+        monkeypatch.setattr(wavesynth, "_shape_correlation", unused)
+        assert differential_delay(headline, PULSE) == want
 
 
 def full_grid_pulse(pulse, t):
