@@ -96,10 +96,7 @@ def replay(argv: list[str], workdir: str) -> dict:
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
     seen = set()
     for w in caught:
         key = (w.category, str(w.message), w.filename, w.lineno)
