@@ -3,11 +3,24 @@
 The structure is linear and time-invariant, so a pulse is propagated by
 multiplying its one-sided (analytic) spectrum by the channel coefficient
 and transforming back; envelopes are magnitudes of the analytic signal,
-which sidesteps carrier-phase ambiguity when locating peaks.  The one-sided
-spectrum is the omega > 0 part of a real FFT (``rfft``) of the samples.
-Fields evolve as e^{i(k_x x - omega t)}, while the FFT synthesizes
-e^{+i omega t} components, so coefficients are conjugated on the way in.
-The closed-prism reference for delays is the incident envelope (t = 1).
+which sidesteps carrier-phase ambiguity when locating peaks.  Fields
+evolve as e^{i(k_x x - omega t)}, while the FFT synthesizes e^{+i omega t}
+components, so coefficients are conjugated on the way in.  The
+closed-prism reference for delays is the incident envelope (t = 1).
+
+Where the one-sided spectrum comes from is the one branch of the
+synthesis.  A plain Gaussian pulse takes its closed-form DFT, evaluated
+only on its live band |omega - omega_0| <= 38.7/sigma, past which both
+Gaussian terms underflow to 0.0: 573 of the 32 767 positive bins of
+the default 16 ns pulse.  It is exact where the FFT of samples leaves a
+round-off floor of ~1e-16 of the peak bin, which a wide gap (kappa
+proportional to omega) would amplify above the pulse.  A pulse with a
+front takes the real FFT (``rfft``) of its samples on every positive bin,
+because its smooth turn-on has no closed form.  Either way the channel
+coefficient is evaluated on the band alone and the band fills one zeroed
+length-n buffer, so the carrier-rate grid and series keep their length.
+The grid step is the one ``time_grid`` multiplies by, not t[1] - t[0],
+which misses it by a rounding of (1 - n/2) dt - (-n/2) dt.
 
 Two drive conventions appear:
 
@@ -16,7 +29,10 @@ Two drive conventions appear:
   note that beyond the critical angle the wavefront trace speed
   c/(n sin(theta)) is subluminal, so field may legitimately arrive at the
   output plane ahead of front_time + d/c by entering the gap at earlier
-  interface points.
+  interface points.  Transmission is formed in the bounded factor
+  e^{i(beta - beta_0) d} relative to the carrier, so the output envelope
+  keeps its scale at any gap width; the carrier factor e^{i beta_0 d} is
+  applied only to the reported series and peak amplitude.
 
 * fixed transverse wavenumber: every frequency shares the carrier k_x, a
   transversely uniform drive for which front_time + d/c is the exact
@@ -39,6 +55,7 @@ underflows to 0.0), writing zeros elsewhere.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,7 +71,8 @@ from .scattering import _transfer, scatter
 _BLOCK = 8192
 
 # exp(-t^2 / 2 sigma^2) underflows to exactly 0.0 past 38.61 sigma, so the
-# pulse is zero beyond this many sigmas from its peak.
+# pulse is zero beyond this many sigmas from its peak, and its spectrum
+# beyond this many 1/sigma from the carrier.
 _GAUSS_REACH = 38.7
 
 
@@ -134,6 +152,11 @@ def sample_pulse(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step(pulse: PulseSpec, dt_factor: int) -> float:
+    """The step ``time_grid`` multiplies its sample indices by."""
+    return 1.0 / (dt_factor * pulse.carrier)
+
+
 def time_grid(pulse: PulseSpec, dt_factor: int = 16,
               span_factor: int = 16) -> np.ndarray:
     """Uniform grid: step 1/(dt_factor * carrier), span span_factor * fwhm,
@@ -144,33 +167,56 @@ def time_grid(pulse: PulseSpec, dt_factor: int = 16,
         )
     if span_factor < 8:
         raise GridGuardError(f"span_factor must be >= 8, got {span_factor}")
-    dt = 1.0 / (dt_factor * pulse.carrier)
+    dt = _step(pulse, dt_factor)
     n_req = int(math.ceil(span_factor * pulse.fwhm / dt))
     n = 1 << (n_req - 1).bit_length()
     return (np.arange(n) - n // 2) * dt
 
 
-def _one_sided(values: np.ndarray, dt: float):
-    """Analytic spectrum 2 X(omega) on the bins omega > 0, with those omega."""
-    n = len(values)
-    positive = slice(1, (n + 1) // 2)
-    return (2.0 * np.fft.rfft(values)[positive],
-            2 * math.pi * np.fft.rfftfreq(n, dt)[positive])
+def _one_sided(pulse: PulseSpec, t: np.ndarray, dt: float):
+    """The pulse's analytic spectrum 2 X(omega_k) on the grid ``t`` of step
+    ``dt``, as (lo, omegas, values) on the bins lo, lo + 1, ...; every
+    other bin with omega > 0 holds 0.
+
+    A plain pulse takes the closed-form DFT of the sampled Gaussian,
+    (2 sigma sqrt(pi/2)/dt) [e^{-(w - w0)^2 sigma^2/2}
+    + e^{-(w + w0)^2 sigma^2/2}] (-1)^k, on the band |w - w0| <= 38.7/sigma
+    where it can be nonzero; (-1)^k places the time origin at sample n/2
+    of the power-of-two grid.  A pulse with a front takes the ``rfft`` of
+    its samples on every positive bin.
+    """
+    n = len(t)
+    if pulse.front_time is not None:
+        return (1, 2 * math.pi * np.fft.rfftfreq(n, dt)[1:(n + 1) // 2],
+                2.0 * np.fft.rfft(sample_pulse(pulse, t))[1:(n + 1) // 2])
+    w0, sigma = 2 * math.pi * pulse.carrier, pulse.sigma
+    reach, bin_width = _GAUSS_REACH / sigma, 2 * math.pi / (n * dt)
+    lo = max(1, math.ceil((w0 - reach) / bin_width))
+    hi = min((n + 1) // 2, math.floor((w0 + reach) / bin_width) + 1)
+    omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)[lo:hi]
+    gauss = (np.exp(-((omegas - w0) * sigma) ** 2 / 2)
+             + np.exp(-((omegas + w0) * sigma) ** 2 / 2))
+    return lo, omegas, (2 * sigma * math.sqrt(math.pi / 2) / dt) * np.where(
+        np.arange(lo, hi) % 2, -gauss, gauss)
 
 
-def _analytic(one_sided: np.ndarray, n: int) -> np.ndarray:
-    """Length-n analytic signal whose spectrum is ``one_sided`` on omega > 0."""
+def _analytic(lo: int, one_sided: np.ndarray, n: int) -> np.ndarray:
+    """Length-n analytic signal whose spectrum is ``one_sided`` on the bins
+    lo, lo + 1, ... and 0 on every other bin."""
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[1:len(one_sided) + 1] = one_sided
+    spectrum[lo:lo + len(one_sided)] = one_sided
     return np.fft.ifft(spectrum)
 
 
 def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
-                 fixed_kx: bool) -> np.ndarray:
+                 fixed_kx: bool, beta_ref: complex | None = None) -> np.ndarray:
     """Channel coefficient on the bins ``omegas``, in blocks of ``_BLOCK``.
 
     ``_transfer`` is elementwise, so each bin gets the same bits as from
-    one call over all bins, while its temporaries stay cache-sized.
+    one call over all bins, while its temporaries stay cache-sized.  With
+    ``beta_ref``, transmission is divided by e^{i beta_ref d}: it is formed
+    as e^{i(beta - beta_ref) d}/den, which stays bounded near beta_ref where
+    e^{i beta d} itself underflows.
     """
     if channel is Channel.REFLECTION and scenario.d == 0:
         raise DegenerateChannelError("reflection vanishes identically at d=0")
@@ -181,21 +227,29 @@ def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
         for start in range(0, len(omegas), _BLOCK):
             w = omegas[start:start + _BLOCK]
             kx = np.full_like(w, kx_carrier) if fixed_kx else kx_per_omega * w
-            _, _, prop, den, r_num = _transfer(scenario, w, kx, fixed_kx)
-            coef[start:start + _BLOCK] = (
-                prop if channel is Channel.TRANSMISSION else r_num) / den
+            _, beta, prop, den, r_num = _transfer(scenario, w, kx, fixed_kx)
+            if channel is Channel.REFLECTION:
+                num = r_num
+            elif beta_ref is None:
+                num = prop
+            else:
+                num = np.exp(1j * (beta - beta_ref) * scenario.d)
+            coef[start:start + _BLOCK] = num / den
     return coef
 
 
-def _filtered(one_sided: np.ndarray, omegas: np.ndarray, n: int,
-              scenario: Scenario, channel: Channel,
-              fixed_kx: bool) -> np.ndarray:
-    """Analytic output signal of one channel."""
-    coef = _coefficient(omegas, scenario, channel, fixed_kx)
+def _filtered(lo: int, omegas: np.ndarray, one_sided: np.ndarray, n: int,
+              scenario: Scenario, channel: Channel, fixed_kx: bool,
+              beta_ref: complex | None = None) -> np.ndarray:
+    """Analytic output signal of one channel from the band ``one_sided``
+    on the bins lo, lo + 1, ... (see ``_one_sided`` and ``_coefficient``)."""
+    coef = _coefficient(omegas, scenario, channel, fixed_kx, beta_ref)
     # conjugate: physical coefficients are defined for e^{-i omega t}.  The
-    # product runs on the whole arrays: numpy's SIMD complex multiply rounds
-    # by operand layout, so a blocked product would move last bits.
-    return _analytic(one_sided * np.conj(coef), n)
+    # product runs on the whole band: numpy's SIMD complex multiply rounds
+    # by operand layout, so a blocked product would move last bits.  It is
+    # written over the coefficient, so the band is held once, not twice.
+    return _analytic(lo, np.multiply(one_sided, np.conj(coef, out=coef),
+                                     out=coef), n)
 
 
 def _peak_time(t: np.ndarray, env: np.ndarray) -> float:
@@ -228,8 +282,8 @@ def _fwhm(t: np.ndarray, env: np.ndarray) -> float:
 
 
 def _shape_correlation(env_a: np.ndarray, env_b: np.ndarray) -> float:
-    fa, fb = np.fft.fft(env_a), np.fft.fft(env_b)
-    corr = np.fft.ifft(fa * np.conj(fb)).real
+    corr = np.fft.irfft(np.fft.rfft(env_a) * np.conj(np.fft.rfft(env_b)),
+                        len(env_a))
     return float(corr.max()
                  / math.sqrt(float(np.sum(env_a ** 2) * np.sum(env_b ** 2))))
 
@@ -244,15 +298,35 @@ def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
 
 def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel,
                 dt_factor: int, span_factor: int):
-    """(t, incident analytic signal, output analytic signal) of one channel
-    at fixed incidence angle."""
+    """(t, incident analytic signal, output analytic signal, carrier factor)
+    of one channel at fixed incidence angle.
+
+    Transmission is formed relative to the carrier's gap factor
+    e^{i beta_0 d}, which the carrier factor holds (1 for reflection): the
+    true output is the returned one times its conjugate, and may underflow
+    where the returned one does not.
+    """
     _check_quasi_monochromatic(pulse)
     t = time_grid(pulse, dt_factor, span_factor)
-    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
-    analytic_in = _analytic(one_sided, len(t))
-    analytic_out = _filtered(one_sided, omegas, len(t), scenario, channel,
-                             fixed_kx=False)
-    return t, analytic_in, analytic_out
+    lo, omegas, one_sided = _one_sided(pulse, t, _step(pulse, dt_factor))
+    w0 = 2 * math.pi * pulse.carrier
+    # on the fixed-angle drive beta is proportional to omega
+    beta0 = w0 / scenario.c * cmath.sqrt(
+        1 - (scenario.n * math.sin(scenario.theta)) ** 2)
+    carrier = 1.0
+    if channel is Channel.TRANSMISSION:
+        # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
+        # is the largest double
+        growth = beta0.imag * scenario.d * (1 - omegas[0] / w0)
+        if not growth < 709:
+            raise GridGuardError(
+                "gap too wide for the pulse synthesis: transmission varies by "
+                f"e^{growth:.3g} across the pulse band, past double range")
+        carrier = cmath.exp(1j * beta0 * scenario.d)
+    analytic_in = _analytic(lo, one_sided, len(t))
+    analytic_out = _filtered(lo, omegas, one_sided, len(t), scenario, channel,
+                             fixed_kx=False, beta_ref=beta0)
+    return t, analytic_in, analytic_out, carrier
 
 
 def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
@@ -262,18 +336,21 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     """Send the pulse through one channel at fixed incidence angle.
 
     Returns the output time series on the shared grid plus envelope
-    measurements referenced to the incident pulse.
+    measurements referenced to the incident pulse.  The envelope's shape is
+    measured at any gap width; the series and ``peak_amplitude`` are the
+    true output, which underflows to 0.0 past a few metres.
     """
-    t, analytic_in, analytic_out = _propagated(scenario, pulse, channel,
-                                               dt_factor, span_factor)
+    t, analytic_in, analytic_out, carrier = _propagated(
+        scenario, pulse, channel, dt_factor, span_factor)
     env_in, env_out = np.abs(analytic_in), np.abs(analytic_out)
     report = PulseReport(
         peak_time=_peak_time(t, env_out) - _peak_time(t, env_in),
         fwhm=_fwhm(t, env_out),
         shape_correlation=_shape_correlation(env_out, env_in),
-        peak_amplitude=float(env_out.max() / env_in.max()),
+        peak_amplitude=float(env_out.max() / env_in.max()) * abs(carrier),
     )
-    series = TimeSeries(t_samples=t, values=analytic_out.real,
+    series = TimeSeries(t_samples=t,
+                        values=(analytic_out * carrier.conjugate()).real,
                         dt=float(t[1] - t[0]), span=float(t[-1] - t[0]),
                         channel=channel)
     return series, report
@@ -293,7 +370,7 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec,
     """
     if scenario.d == 0:
         return 0.0
-    t, analytic_in, analytic_out = _propagated(
+    t, analytic_in, analytic_out, _ = _propagated(
         scenario, pulse, Channel.TRANSMISSION, dt_factor, span_factor)
     gapped_peak = (_peak_time(t, np.abs(analytic_out))
                    - _peak_time(t, np.abs(analytic_in)))
@@ -320,8 +397,8 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     t = time_grid(pulse, dt_factor, span_factor)
     if pulse.front_time <= t[0] or pulse.front_time >= t[-1]:
         raise GridGuardError("front_time outside the synthesis window")
-    one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
-    env = np.abs(_filtered(one_sided, omegas, len(t), scenario,
+    lo, omegas, one_sided = _one_sided(pulse, t, _step(pulse, dt_factor))
+    env = np.abs(_filtered(lo, omegas, one_sided, len(t), scenario,
                            Channel.TRANSMISSION, fixed_kx=True))
     arrival = pulse.front_time + scenario.d / scenario.c
     pre_front = t < arrival

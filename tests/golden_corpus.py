@@ -68,6 +68,9 @@ CASES = [
     ["pulse", "--d-mm", "10", "--with-version"],
     ["pulse", "--fwhm-ns", "1"],
     ["pulse", "--fwhm-ns", "1e12"],
+    ["pulse", "--d-mm", "400"],
+    ["pulse", "--d-mm", "1000", "--polarization", "TM"],
+    ["pulse", "--d-mm", "5000"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],

@@ -1,10 +1,11 @@
 """Full-spectrum reference pipeline for the spectral synthesis tests.
 
-A complex FFT of the real samples, the channel coefficient taken from the
+A complex FFT of the real samples (or, for a plain Gaussian pulse, its
+closed-form DFT on every bin), the channel coefficient taken from the
 public ``scatter`` on the positive-frequency bins, and an inverse FFT per
-analytic signal.  ``evanesce.wavesynth`` does the same filtering with a
-one-sided real FFT and one closed-form coefficient; the tests compare the
-two.
+analytic signal.  ``evanesce.wavesynth`` does the same filtering on the
+band of bins where the spectrum is nonzero, with one closed-form
+coefficient; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -13,16 +14,42 @@ import math
 
 import numpy as np
 
-from evanesce import Channel, Scenario, scatter, wavevectors
+from evanesce import Channel, PulseSpec, Scenario, scatter, wavevectors
+
+
+def gaussian_spectrum(pulse: PulseSpec, n: int, dt: float) -> np.ndarray:
+    """Closed-form DFT, on all n ``fftfreq`` bins, of the plain pulse sampled
+    at (j - n/2) dt, j = 0 .. n - 1, for even n.
+
+    Poisson summation turns the sum over samples into the continuous
+    transform sigma sqrt(2 pi)/2 [G(w - w0) + G(w + w0)] over dt, with
+    G(u) = exp(-u^2 sigma^2/2); its aliases and the truncation to n samples
+    are far below double precision on the synthesis grids, and the origin
+    at sample n/2 contributes e^{-i pi k} = (-1)^k.
+    """
+    if pulse.front_time is not None or n % 2:
+        raise ValueError("closed form only for a plain pulse on an even grid")
+    omegas = 2 * math.pi * np.fft.fftfreq(n, dt)
+    w0, sigma = 2 * math.pi * pulse.carrier, pulse.sigma
+    gauss = (np.exp(-0.5 * (sigma * (omegas - w0)) ** 2)
+             + np.exp(-0.5 * (sigma * (omegas + w0)) ** 2))
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return sigma * math.sqrt(2 * math.pi) / (2 * dt) * gauss * sign
 
 
 def filtered_analytic(values: np.ndarray, dt: float, scenario: Scenario,
                       channel: Channel = Channel.TRANSMISSION,
-                      fixed_kx: bool = False):
-    """One-sided spectra in and out; returns (analytic_in, analytic_out)."""
+                      fixed_kx: bool = False,
+                      spectrum: np.ndarray | None = None):
+    """One-sided spectra in and out; returns (analytic_in, analytic_out).
+
+    ``spectrum``, when given, is the DFT of ``values`` in place of their FFT
+    (see ``gaussian_spectrum``).
+    """
     values = np.asarray(values, dtype=float)
     n = len(values)
-    spectrum = np.fft.fft(values)
+    if spectrum is None:
+        spectrum = np.fft.fft(values)
     omegas = 2 * math.pi * np.fft.fftfreq(n, dt)
     pos = omegas > 0
     one_sided = np.where(pos, 2.0 * spectrum, 0.0)
@@ -40,9 +67,11 @@ def filtered_analytic(values: np.ndarray, dt: float, scenario: Scenario,
 
 def apply_channel(values: np.ndarray, dt: float, scenario: Scenario,
                   channel: Channel = Channel.TRANSMISSION,
-                  fixed_kx: bool = False) -> np.ndarray:
+                  fixed_kx: bool = False,
+                  spectrum: np.ndarray | None = None) -> np.ndarray:
     """Filter real field samples through the channel; returns real samples."""
-    _, out = filtered_analytic(values, dt, scenario, channel, fixed_kx)
+    _, out = filtered_analytic(values, dt, scenario, channel, fixed_kx,
+                               spectrum)
     return out.real
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from evanesce import cli
+from evanesce import Scenario, cli, phase_delay
 
 C = 3.0e8
 
@@ -174,6 +174,41 @@ class TestPulseCommand:
         assert header == "t_ns,field"
         # every field is the shortest repr of its float
         assert rows and all(repr(float(v)) == v for row in rows for v in row.split(","))
+
+
+class TestPulseWideGap:
+    """The envelope of ``pulse`` is measured at wide gaps: its input
+    spectrum is exact, and transmission is formed relative to the carrier.
+    From ~0.2 m the FFT of samples left a floor that the gap amplified
+    above the pulse (0.4 m printed peak_delay_ps -7372)."""
+
+    @pytest.mark.parametrize("polarization", ["TE", "TM"])
+    @pytest.mark.parametrize("d_mm", [200, 400, 1000, 5000, 10000])
+    def test_envelope(self, d_mm, polarization, capsys):
+        assert cli.main(["pulse", "--d-mm", str(d_mm),
+                         "--polarization", polarization]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        tau0 = phase_delay(Scenario(n=1.6, f=9.15e9, theta=math.radians(45.0),
+                                    d=d_mm * 1e-3, polarization=polarization))
+        assert payload["fwhm_ns"] == pytest.approx(16.0, rel=1e-6)
+        assert payload["shape_correlation"] >= 1 - 1e-12
+        assert abs(payload["peak_delay_ps"] - tau0 * 1e12) <= 1e-6
+        assert payload["peak_intensity_ratio"] == payload["peak_amplitude"] ** 2
+        # the true output amplitude, e^{-kappa d} small, underflows past ~7 m
+        assert (payload["peak_amplitude"] == 0.0) == (d_mm == 10000)
+
+    @pytest.mark.parametrize("d_mm", ["200000", "1e300"])
+    def test_gap_past_double_range(self, d_mm, capsys):
+        # across the band, transmission relative to the carrier spans more
+        # than a double holds: one line and exit 2, no numpy warning
+        assert cli.main(["pulse", "--d-mm", d_mm]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: gap too wide for the pulse synthesis")
+        assert err.count("\n") == 1
+        assert cli.main(["pulse", "--d-mm", d_mm, "--channel", "reflection"]) == 0
 
 
 class TestBeamCommand:

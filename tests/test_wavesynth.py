@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,12 +15,13 @@ from evanesce import (
 from evanesce import wavesynth
 from evanesce.scattering import _transfer
 from evanesce.wavesynth import (
-    _BLOCK, _analytic, _coefficient, _filtered, _one_sided, _smooth_step,
-    is_quasi_static, sample_pulse, time_grid,
+    _BLOCK, _analytic, _coefficient, _filtered, _one_sided,
+    _shape_correlation, _smooth_step, _step, is_quasi_static, sample_pulse,
+    time_grid,
 )
 from conftest import HEADLINE, random_scenario
 from spectral_reference import (
-    analytic_envelope, apply_channel, filtered_analytic,
+    analytic_envelope, apply_channel, filtered_analytic, gaussian_spectrum,
 )
 
 PULSE = PulseSpec(fwhm=16e-9, carrier=9.15e9)
@@ -95,6 +97,16 @@ class TestPulsePropagation:
         _, report = propagate_pulse(headline, PULSE)
         assert report.fwhm > 0
         assert abs(report.shape_correlation) <= 1.0
+
+    @pytest.mark.parametrize("d", [0.01, 0.04, 1.0])
+    def test_shape_correlation_matches_complex_transforms(self, headline, d):
+        # the real transforms sum in another order: a few ulps of 1 apart
+        t, analytic_in, analytic_out, _ = wavesynth._propagated(
+            replace(headline, d=d), PULSE, Channel.TRANSMISSION, 16, 16)
+        env_out, env_in = np.abs(analytic_out), np.abs(analytic_in)
+        corr = np.fft.ifft(np.fft.fft(env_out) * np.conj(np.fft.fft(env_in))).real
+        want = corr.max() / math.sqrt(np.sum(env_out ** 2) * np.sum(env_in ** 2))
+        assert abs(_shape_correlation(env_out, env_in) - want) <= 4 * np.finfo(float).eps
 
     def test_bandwidth_guard(self, headline):
         with pytest.raises(GridGuardError):
@@ -176,6 +188,46 @@ class TestFrontCausality:
         assert np.abs(out[pre]).max() / np.abs(out).max() < 1e-8
 
 
+class TestClosedFormSpectrum:
+    """A plain pulse's spectrum is the closed-form DFT on its live band."""
+
+    @pytest.mark.parametrize("fwhm, carrier, dt_factor, span_factor", [
+        (16e-9, 9.15e9, 16, 16),   # the headline grid
+        (16e-9, 9.15e9, 32, 64),
+        (1.1e-9, 9.15e9, 16, 16),  # fwhm*carrier 10.07: the band starts at bin 1
+        (5e-9, 20e9, 8, 8),
+        (2e-9, 5.1e9, 32, 16),
+    ])
+    def test_band_matches_rfft_of_samples(self, fwhm, carrier, dt_factor,
+                                          span_factor):
+        pulse = PulseSpec(fwhm=fwhm, carrier=carrier)
+        t = time_grid(pulse, dt_factor, span_factor)
+        n, dt = len(t), 1 / (dt_factor * carrier)
+        lo, omegas, band = _one_sided(pulse, t, _step(pulse, dt_factor))
+        hi = lo + len(band)
+        got = np.zeros((n + 1) // 2, dtype=complex)
+        got[lo:hi] = band
+        want = 2.0 * np.fft.rfft(sample_pulse(pulse, t))[:(n + 1) // 2]
+        want[0] = 0.0  # the analytic spectrum holds omega > 0 only
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(omegas, 2 * math.pi * np.fft.rfftfreq(n, dt)[lo:hi])
+        # outside the band the exact spectrum underflows to 0.0
+        exact = gaussian_spectrum(pulse, n, dt)[:(n + 1) // 2]
+        assert not exact[1:lo].any() and not exact[hi:].any()
+
+    @pytest.mark.parametrize("dt_factor", [16, 32])
+    def test_front_pulse_keeps_rfft(self, dt_factor):
+        pulse = front_pulse()
+        t = time_grid(pulse, dt_factor, 64)
+        n = len(t)
+        lo, omegas, band = _one_sided(pulse, t, _step(pulse, dt_factor))
+        assert lo == 1
+        assert np.array_equal(
+            band, 2.0 * np.fft.rfft(sample_pulse(pulse, t))[1:(n + 1) // 2])
+        assert np.array_equal(omegas, 2 * math.pi * np.fft.rfftfreq(
+            n, 1 / (dt_factor * pulse.carrier))[1:(n + 1) // 2])
+
+
 def equivalence_cases(polarization, fwhm_cycles):
     """The headline pulse, then five random tunneling scenarios with a
     pulse of fwhm_cycles carrier cycles."""
@@ -203,7 +255,9 @@ class TestReferenceEquivalence:
             series, _ = propagate_pulse(s, pulse, channel)
             t = series.t_samples
             x = sample_pulse(pulse, t)
-            want = apply_channel(x, t[1] - t[0], s, channel)
+            dt = 1 / (16 * pulse.carrier)  # the step time_grid multiplies by
+            want = apply_channel(x, dt, s, channel,
+                                 spectrum=gaussian_spectrum(pulse, len(t), dt))
             assert np.max(np.abs(series.values - want)) \
                 <= 1e-13 * np.max(np.abs(want)) + 1e-15 * np.max(np.abs(x))
 
@@ -215,7 +269,8 @@ class TestReferenceEquivalence:
             for dt_factor in (16, 32):
                 t = time_grid(front, dt_factor, 64)
                 x = sample_pulse(front, t)
-                _, out = filtered_analytic(x, t[1] - t[0], s, fixed_kx=True)
+                _, out = filtered_analytic(x, 1 / (dt_factor * front.carrier), s,
+                                           fixed_kx=True)
                 env = np.abs(out)
                 pre = t < front.front_time + s.d / s.c
                 want = env[pre].max() / env.max()
@@ -271,6 +326,21 @@ class TestSavedWork:
         assert len(forward) == 1
         assert inverse == [("ifft", n)]
 
+    def test_coefficient_only_on_the_band(self, headline, monkeypatch):
+        # the headline pulse's spectrum is nonzero on 573 of 32 767 bins
+        sizes = []
+        real = wavesynth._transfer
+
+        def counted(scenario, omega, *args):
+            sizes.append(np.size(omega))
+            return real(scenario, omega, *args)
+
+        monkeypatch.setattr(wavesynth, "_transfer", counted)
+        for channel in Channel:
+            sizes.clear()
+            propagate_pulse(headline, PULSE, channel)
+            assert 0 < sum(sizes) <= 600
+
     def test_differential_delay_propagates_once(self, headline, monkeypatch):
         calls = []
         real = wavesynth._propagated
@@ -303,15 +373,26 @@ def full_grid_pulse(pulse, t):
     return env * np.cos(2 * math.pi * pulse.carrier * t)
 
 
-def unblocked_coefficient(omegas, scenario, channel, fixed_kx):
-    """The channel coefficient from one ``_transfer`` call over all bins."""
+def unblocked_coefficient(omegas, scenario, channel, fixed_kx, beta_ref=None):
+    """The channel coefficient from one ``_transfer`` call over all bins,
+    transmission relative to e^{i beta_ref d} when ``beta_ref`` is given."""
     if fixed_kx:
         kx = np.full_like(omegas, wavevectors(scenario).k_x)
     else:
         kx = scenario.n * math.sin(scenario.theta) / scenario.c * omegas
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, _, prop, den, r_num = _transfer(scenario, omegas, kx, fixed_kx)
-        return (prop if channel is Channel.TRANSMISSION else r_num) / den
+        _, beta, prop, den, r_num = _transfer(scenario, omegas, kx, fixed_kx)
+        if channel is Channel.REFLECTION:
+            return r_num / den
+        if beta_ref is not None:
+            prop = np.exp(1j * (beta - beta_ref) * scenario.d)
+        return prop / den
+
+
+def carrier_beta(scenario):
+    """The gap's normal wavenumber at the carrier, principal branch."""
+    return scenario.omega / scenario.c * cmath.sqrt(
+        1 - (scenario.n * math.sin(scenario.theta)) ** 2)
 
 
 class TestBlockedSynthesis:
@@ -324,10 +405,12 @@ class TestBlockedSynthesis:
         dt = 1 / (16 * s.f)
         omegas = 2 * math.pi * np.fft.rfftfreq(2 * bins + 1, dt)[1:]
         assert len(omegas) == bins
-        for fixed_kx in (False, True):
+        for fixed_kx, beta_ref in ((False, None), (True, None),
+                                   (False, carrier_beta(s))):
             for channel in Channel:
-                got = _coefficient(omegas, s, channel, fixed_kx)
-                want = unblocked_coefficient(omegas, s, channel, fixed_kx)
+                got = _coefficient(omegas, s, channel, fixed_kx, beta_ref)
+                want = unblocked_coefficient(omegas, s, channel, fixed_kx,
+                                             beta_ref)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
@@ -336,13 +419,18 @@ class TestBlockedSynthesis:
         s = Scenario(**HEADLINE, polarization=polarization)
         for pulse, span_factor in ((PULSE, 16), (front_pulse(), 64)):
             t = time_grid(pulse, 16, span_factor)
-            one_sided, omegas = _one_sided(sample_pulse(pulse, t), t[1] - t[0])
-            for fixed_kx in (False, True):
+            lo, omegas, one_sided = _one_sided(pulse, t, _step(pulse, 16))
+            for fixed_kx, beta_ref in ((False, None), (True, None),
+                                       (False, carrier_beta(s))):
                 for channel in Channel:
-                    got = _filtered(one_sided, omegas, len(t), s, channel,
-                                    fixed_kx)
-                    coef = unblocked_coefficient(omegas, s, channel, fixed_kx)
-                    want = _analytic(one_sided * np.conj(coef), len(t))
+                    got = _filtered(lo, omegas, one_sided, len(t), s, channel,
+                                    fixed_kx, beta_ref)
+                    coef = unblocked_coefficient(omegas, s, channel, fixed_kx,
+                                                 beta_ref)
+                    # the product written over the conjugated coefficient
+                    product = np.multiply(one_sided, np.conj(coef, out=coef),
+                                          out=coef)
+                    want = _analytic(lo, product, len(t))
                     assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dt_factor, span_factor",
