@@ -172,16 +172,6 @@ def _scenario(args: argparse.Namespace) -> Scenario:
     )
 
 
-def _reject_below_critical(scenario: Scenario) -> None:
-    if not scenario.is_tunneling:
-        crit = math.degrees(critical_angle(scenario.n))
-        raise ConfigError(
-            f"theta {math.degrees(scenario.theta):.2f} deg is below the "
-            f"critical angle {crit:.2f} deg for n={scenario.n}; "
-            "this command needs the evanescent regime"
-        )
-
-
 def _channel(args: argparse.Namespace) -> Channel:
     return Channel(args.channel)
 
@@ -204,9 +194,7 @@ def _csv_header_lines(args: argparse.Namespace) -> tuple[str, ...]:
     return (f"evanesce {__version__}",) if args.with_version else ()
 
 
-def cmd_attenuation(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
     exact = scatter(scenario)
     report = {
         "kappa_per_m": wavevectors(scenario).kappa,
@@ -227,9 +215,7 @@ def cmd_attenuation(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hartman(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_hartman(args: argparse.Namespace, scenario: Scenario) -> int:
     if not (0 < args.d_min_mm < args.d_max_mm):
         raise ConfigError("need 0 < d-min-mm < d-max-mm")
     if args.d_steps < 2:
@@ -238,10 +224,10 @@ def cmd_hartman(args: argparse.Namespace) -> int:
     # fails at once with MemoryError
     d = (args.d_min_mm + np.arange(args.d_steps, dtype=float)
          * (args.d_max_mm - args.d_min_mm) / (args.d_steps - 1)) * 1e-3
-    bd = hartman_sweep(scenario, d, Channel.TRANSMISSION)
+    bd = hartman_sweep(scenario, d)
     # stored energy is per-area energy times the GH shift s already swept;
     # s cancels from the dwell time, and the flux is independent of d
-    flux = incident_flux(scenario, scenario.omega, wavevectors(scenario).k_x)
+    flux = incident_flux(scenario)
     per_area = np.array([integrated_density(replace(scenario, d=dv))
                          for dv in d.tolist()])
     s = bd.gh_shift
@@ -257,9 +243,7 @@ def cmd_hartman(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pulse(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
     pulse = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
     series, report = propagate_pulse(scenario, pulse, _channel(args))
     if args.out is not None:
@@ -280,9 +264,7 @@ def cmd_pulse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_beam(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
     lam = vacuum_wavelength(scenario.f, scenario.c)
     beam = BeamSpec(waist=args.waist_wavelengths * lam)
     channel = _channel(args)
@@ -302,9 +284,7 @@ def cmd_beam(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:
     budget = stored_energy(scenario)
     payload = {
         "stored": budget.stored,
@@ -328,9 +308,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_causality(args: argparse.Namespace) -> int:
-    scenario = _scenario(args)
-    _reject_below_critical(scenario)
+def cmd_causality(args: argparse.Namespace, scenario: Scenario) -> int:
     fwhm = args.fwhm_ns * 1e-9
     sigma = fwhm / (2 * math.sqrt(math.log(2)))
     pulse = PulseSpec(
@@ -370,7 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args, _command_actions(parser, args.command))
-        return _COMMANDS[args.command](args)
+        scenario = _scenario(args)
+        scenario.require_tunneling()
+        return _COMMANDS[args.command](args, scenario)
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -94,9 +94,9 @@ class Scenario:
     def require_tunneling(self) -> None:
         if not self.is_tunneling:
             raise RegimeError(
-                "operation requires the evanescent regime: "
-                f"n sin(theta) = {self.n * math.sin(self.theta):.6f} <= 1 "
-                f"(critical angle {math.degrees(critical_angle(self.n)):.2f} deg)"
+                f"theta {math.degrees(self.theta):.2f} deg is below the "
+                f"critical angle {math.degrees(critical_angle(self.n)):.2f} deg "
+                f"for n={self.n}; this command needs the evanescent regime"
             )
 
 

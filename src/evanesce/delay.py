@@ -143,13 +143,14 @@ def shift_implied_by_delay(scenario: Scenario, tau_g: float) -> float:
     return tau_g / _lateral_slowness(scenario)
 
 
-def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
-                  channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
+def hartman_sweep(scenario: Scenario,
+                  d_values: Sequence[float]) -> DelayBreakdown:
     """Delay breakdown versus gap width.
 
     ``d_values`` must be positive, finite and ascending.  The breakdown
     holds one SI array per term, entry i at ``d_values[i]``, all evaluated
-    at once over the ``d`` array.
+    at once over the ``d`` array.  Both channels share these delays at
+    every positive width, so the breakdown is the transmission one.
     """
     d = np.asarray(d_values, dtype=float)
     if d.size == 0:
@@ -158,6 +159,6 @@ def hartman_sweep(scenario: Scenario, d_values: Sequence[float],
         raise ValueError("d_values must be positive and finite")
     if np.any(np.diff(d) <= 0):
         raise ValueError("d_values must be strictly ascending")
-    tau0, shift = _delays(scenario, d, channel)
+    tau0, shift = _delays(scenario, d, Channel.TRANSMISSION)
     tau_g = tau0 + shift * _lateral_slowness(scenario)
-    return DelayBreakdown(tau0, shift, tau_g, channel)
+    return DelayBreakdown(tau0, shift, tau_g, Channel.TRANSMISSION)

@@ -81,8 +81,11 @@ def _field_integrals(res: ScatterResult, d: float) -> tuple[float, float]:
     return float(pure + cross), float(abs(kz) ** 2 * (pure - cross))
 
 
-def incident_flux(scenario: Scenario, omega: float, k_x: float) -> float:
-    """Normal component of the incident time-averaged flux, normalized."""
+def incident_flux(scenario: Scenario) -> float:
+    """Normal component of the incident time-averaged flux at the carrier,
+    normalized."""
+    omega = scenario.omega
+    k_x = wavevectors(scenario).k_x
     alpha = math.sqrt((scenario.n * omega / scenario.c) ** 2 - k_x ** 2)
     flux = scenario.c ** 2 * alpha / (2 * omega)
     if scenario.polarization is Polarization.TM:
@@ -90,19 +93,17 @@ def incident_flux(scenario: Scenario, omega: float, k_x: float) -> float:
     return flux
 
 
-def integrated_density(scenario: Scenario, omega: float | None = None,
-                       k_x: float | None = None) -> float:
-    """Energy per unit interface area: integral of u(z) over the gap.
+def integrated_density(scenario: Scenario) -> float:
+    """Energy per unit interface area at the carrier: integral of u(z) over
+    the gap.
 
     Closed form, term by term in the two gap amplitudes; it holds above and
     below the critical angle and at any gap width.
     """
-    if omega is None:
-        omega = scenario.omega
-    if k_x is None:
-        k_x = wavevectors(scenario, omega).k_x
     if scenario.d == 0:
         return 0.0
+    omega = scenario.omega
+    k_x = wavevectors(scenario).k_x
     field_sq, slope_sq = _field_integrals(scatter(scenario, omega, k_x), scenario.d)
     w_field, w_slope = _density_weights(scenario, omega, k_x)
     return w_field * field_sq + w_slope * slope_sq
@@ -116,13 +117,11 @@ def stored_energy(scenario: Scenario) -> EnergyBudget:
     time reduces to area-normalized stored energy over incident flux.
     """
     scenario.require_tunneling()
-    omega = scenario.omega
-    k_x = wavevectors(scenario, omega).k_x
     if scenario.d == 0:
         return EnergyBudget(stored=0.0, incident_power=0.0, dwell_time=0.0)
-    per_area = integrated_density(scenario, omega, k_x)
+    per_area = integrated_density(scenario)
     shift = goos_hanchen_shift(scenario, Channel.TRANSMISSION)
-    flux = incident_flux(scenario, omega, k_x)
+    flux = incident_flux(scenario)
     stored = per_area * shift
     power = flux * shift
     return EnergyBudget(stored=stored, incident_power=power,

@@ -61,6 +61,7 @@ CASES = [
     ["hartman", "--d-min-mm", "1e-300", "--d-max-mm", "1e-299", "--d-steps", "3"],
     ["hartman", "--d-min-mm", "50", "--d-max-mm", "5"],
     ["hartman", "--d-steps", "1"],
+    ["hartman", "--theta-deg", "30"],
     ["pulse"],
     ["pulse", "--out", "{out}"],
     ["pulse", "--channel", "reflection", "--out", "{out}"],
@@ -71,21 +72,26 @@ CASES = [
     ["pulse", "--d-mm", "400"],
     ["pulse", "--d-mm", "1000", "--polarization", "TM"],
     ["pulse", "--d-mm", "5000"],
+    ["pulse", "--theta-deg", "30"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
     ["beam", "--channel", "reflection"],
+    ["beam", "--channel", "reflection", "--d-mm", "0"],
     ["beam", "--d-mm", "500"],
     ["beam", "--d-mm", "10000"],
+    ["beam", "--theta-deg", "30"],
     ["energy"],
     ["energy", "--d-mm", "0"],
     ["energy", "--d-mm", "400"],
     ["energy", "--d-mm", "10000"],
     ["energy", "--d-mm", "1e300"],
     ["energy", "--train-first-car", "16", "--train-cars", "5"],
+    ["energy", "--theta-deg", "30"],
     ["causality"],
     ["causality", "--polarization", "TM"],
     ["causality", "--fwhm-ns", "1e12"],
+    ["causality", "--theta-deg", "30"],
 ]
 
 

@@ -118,7 +118,7 @@ def test_criterion_08_channel_delay_equality():
 def test_criterion_09_hartman_saturation():
     kappa = wavevectors(SCENARIO).kappa
     d_values = list(np.linspace(5e-3, 50e-3, 10))
-    sweep = hartman_sweep(SCENARIO, d_values, Channel.TRANSMISSION)
+    sweep = hartman_sweep(SCENARIO, d_values)
     tau0 = np.abs(sweep.phase_delay)
     tau_g = sweep.group_delay
 

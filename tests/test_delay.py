@@ -188,7 +188,7 @@ class TestHartman:
             return list(zip(sweep.phase_delay.tolist(), sweep.gh_shift.tolist(),
                             sweep.group_delay.tolist()))
 
-        sweep = hartman_sweep(headline, [headline.d], Channel.TRANSMISSION)
+        sweep = hartman_sweep(headline, [headline.d])
         bd = total_group_delay(headline, Channel.TRANSMISSION)
         assert sweep.channel is Channel.TRANSMISSION
         assert rows(sweep) == [(bd.phase_delay, bd.gh_shift, bd.group_delay)]
@@ -200,7 +200,7 @@ class TestHartman:
 
     def test_saturation_profile(self, headline):
         ds = np.linspace(5e-3, 50e-3, 10)
-        tau_g = hartman_sweep(headline, list(ds), Channel.TRANSMISSION).group_delay
+        tau_g = hartman_sweep(headline, list(ds)).group_delay
         assert abs(tau_g[-1] / tau_g[7] - 1) < 0.01  # 50 mm vs ~40 mm
         assert all(b > a for a, b in zip(tau_g, tau_g[1:]))
 
@@ -209,7 +209,7 @@ class TestHartman:
         # rate (with the algebraic prefactor divided out) must be 2 kappa
         kappa = wavevectors(headline).kappa
         ds = np.linspace(2 / kappa, 6 / kappa, 12)
-        sweep = hartman_sweep(headline, list(ds), Channel.TRANSMISSION)
+        sweep = hartman_sweep(headline, list(ds))
         s_inf = goos_hanchen_shift(
             Scenario(n=1.6, f=9.15e9, theta=headline.theta, d=20 / kappa),
             Channel.TRANSMISSION)

@@ -73,7 +73,7 @@ class TestPulsePropagation:
             assert report.shape_correlation > 0.999
 
     def test_energy_conserved_across_channels(self, headline):
-        t = time_grid(PULSE)
+        t = time_grid(PULSE, 16, 16)
         x = sample_pulse(PULSE, t)
         dt = t[1] - t[0]
         out_t = apply_channel(x, dt, headline, Channel.TRANSMISSION)
@@ -85,7 +85,7 @@ class TestPulsePropagation:
         assert e_out == pytest.approx(e_in, rel=1e-6)
 
     def test_linearity(self, headline):
-        t = time_grid(PULSE)
+        t = time_grid(PULSE, 16, 16)
         dt = t[1] - t[0]
         a = sample_pulse(PULSE, t)
         b = sample_pulse(front_pulse(), t)
@@ -101,8 +101,8 @@ class TestPulsePropagation:
     @pytest.mark.parametrize("d", [0.01, 0.04, 1.0])
     def test_shape_correlation_matches_complex_transforms(self, headline, d):
         # the real transforms sum in another order: a few ulps of 1 apart
-        t, analytic_in, analytic_out, _ = wavesynth._propagated(
-            replace(headline, d=d), PULSE, Channel.TRANSMISSION, 16, 16)
+        t, _, analytic_in, analytic_out, _ = wavesynth._propagated(
+            replace(headline, d=d), PULSE, Channel.TRANSMISSION)
         env_out, env_in = np.abs(analytic_out), np.abs(analytic_in)
         corr = np.fft.ifft(np.fft.fft(env_out) * np.conj(np.fft.fft(env_in))).real
         want = corr.max() / math.sqrt(np.sum(env_out ** 2) * np.sum(env_in ** 2))
@@ -114,9 +114,15 @@ class TestPulsePropagation:
 
     def test_grid_guards(self, headline):
         with pytest.raises(GridGuardError):
-            propagate_pulse(headline, PULSE, dt_factor=4)
-        with pytest.raises(GridGuardError):
-            propagate_pulse(headline, PULSE, span_factor=4)
+            front_causality_check(headline, front_pulse(), dt_factor=4)
+
+    def test_fixed_grid(self, headline):
+        series, _ = propagate_pulse(headline, PULSE)
+        assert len(series.t_samples) == len(series.values) == 65536
+        t, dt, analytic_in, analytic_out, _ = wavesynth._propagated(
+            headline, PULSE, Channel.TRANSMISSION)
+        assert len(t) == len(analytic_in) == len(analytic_out) == 65536
+        assert dt == 1 / (16 * PULSE.carrier)
 
     def test_reflection_degenerate_at_zero_gap(self, headline):
         with pytest.raises(DegenerateChannelError):
@@ -171,9 +177,19 @@ class TestFrontCausality:
         with pytest.raises(ValueError):
             front_causality_check(headline, PULSE)
 
-    def test_span_guard(self, headline):
-        with pytest.raises(GridGuardError):
-            front_causality_check(headline, front_pulse(), span_factor=32)
+    @pytest.mark.parametrize("dt_factor, n", [(16, 262144), (32, 524288)])
+    def test_fixed_grid(self, headline, monkeypatch, dt_factor, n):
+        sizes = []
+        real = wavesynth.time_grid
+
+        def counted(*args):
+            t = real(*args)
+            sizes.append(len(t))
+            return t
+
+        monkeypatch.setattr(wavesynth, "time_grid", counted)
+        front_causality_check(headline, front_pulse(), dt_factor)
+        assert sizes == [n]
 
     def test_field_is_zero_before_front(self, headline):
         # the real field itself, not just the envelope, sits at the
@@ -532,6 +548,20 @@ class TestBeam:
         oracle = float(np.sum(weight * shifts) / np.sum(weight))
         profile = beam_centroid_shift(s, BeamSpec(waist=waist))
         assert profile.centroid_shift == pytest.approx(oracle, rel=1e-9)
+
+    def test_fixed_grid(self, headline):
+        waist = 20 * vacuum_wavelength(headline.f)
+        profile = beam_centroid_shift(headline, BeamSpec(waist=waist))
+        assert len(profile.x_samples) == len(profile.intensity) == 4096
+        assert profile.x_samples[-1] - profile.x_samples[0] \
+            == pytest.approx(32 * waist * 4095 / 4096, rel=1e-12)
+
+    def test_reflection_degenerate_at_zero_gap(self, headline):
+        # reflection vanishes at d = 0: the centroid would be 0/0 (NaN)
+        beam = BeamSpec(waist=20 * vacuum_wavelength(headline.f))
+        with pytest.raises(DegenerateChannelError):
+            beam_centroid_shift(replace(headline, d=0.0), beam,
+                                Channel.REFLECTION)
 
     def test_waist_guard(self, headline):
         lam = vacuum_wavelength(headline.f)
