@@ -2,10 +2,11 @@
 
 Each case runs ``evanesce.cli.main`` in this process and records its exit
 code, stdout, stderr and, for ``--out`` runs, the SHA-256 of the written
-file.  Warnings are recorded on stderr as ``<Category>: <message>`` lines,
-once per distinct source location as the default filter of a fresh
-interpreter shows them, but without the file path, so the corpus does not
-depend on where the package is installed.
+file; a ``--config`` case also records the config it reads.  Warnings are
+recorded on stderr as ``<Category>: <message>`` lines, once per distinct
+source location as the default filter of a fresh interpreter shows them,
+but without the file path, so the corpus does not depend on where the
+package is installed.
 
 ``tests/test_golden.py`` replays the corpus.  A change that moves output
 bytes regenerates it and names the moved bytes in its change log:
@@ -35,7 +36,7 @@ from evanesce import cli
 CORPUS = Path(__file__).with_name("golden") / "corpus.json"
 
 # "{out}" stands for a fresh file path, whose contents are hashed.
-CASES = [
+_PLAIN = [
     ["attenuation"],
     ["attenuation", "--json"],
     ["attenuation", "--d-mm", "1000"],
@@ -94,13 +95,32 @@ CASES = [
     ["causality", "--theta-deg", "30"],
 ]
 
+# "{config}" stands for a fresh file holding the case's config as JSON.
+_WITH_CONFIG = [
+    (["attenuation", "--config", "{config}"], {"theta_deg": 50.0}),
+    (["attenuation", "--config", "{config}", "--theta-deg", "45"],
+     {"theta_deg": 50.0, "d_mm": 10.0}),
+    (["attenuation", "--config", "{config}"], {"frequency": 9.15}),
+    (["hartman", "--config", "{config}"], {"d_steps": 2.5}),
+    (["attenuation", "--config", "{config}"], [1.6, 9.15]),
+    (["energy", "--config", "{config}", "--d-mm", "0"], {"d_mm": 40.0}),
+]
 
-def replay(argv: list[str], workdir: str) -> dict:
+# (argv, config or None) of every case, in corpus order
+CASES = [(argv, None) for argv in _PLAIN] + _WITH_CONFIG
+
+
+def replay(argv: list[str], workdir: str, config=None) -> dict:
     """Run one invocation through ``cli.main``; return what it printed."""
     out_path = os.path.join(workdir, "out.csv")
     if os.path.exists(out_path):
         os.remove(out_path)
-    argv = [out_path if a == "{out}" else a for a in argv]
+    config_path = os.path.join(workdir, "config.json")
+    if config is not None:
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+    tokens = {"{out}": out_path, "{config}": config_path}
+    argv = [tokens.get(a, a) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -123,8 +143,11 @@ def replay(argv: list[str], workdir: str) -> dict:
 def generate() -> dict:
     cases = []
     with tempfile.TemporaryDirectory() as workdir:
-        for argv in CASES:
-            cases.append({"argv": argv, **replay(argv, workdir)})
+        for argv, config in CASES:
+            case = {"argv": argv}
+            if config is not None:
+                case["config"] = config
+            cases.append({**case, **replay(argv, workdir, config)})
     return {"numpy": np.__version__, "cases": cases}
 
 
