@@ -20,12 +20,10 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    C_CODATA, PulseSpec, BeamSpec, RegimeError, Scenario, critical_angle,
+    C_CODATA, C_VACUUM, PulseSpec, BeamSpec, Scenario, critical_angle,
     pulse_spatial_extent, vacuum_wavelength, wavevectors,
 )
-from .delay import (
-    Channel, DegenerateChannelError, hartman_sweep, goos_hanchen_shift,
-)
+from .delay import Channel, hartman_sweep, goos_hanchen_shift
 from .energy import (
     evanescent_vs_free_energy, incident_flux, integrated_density, stored_energy,
     train_model,
@@ -35,24 +33,9 @@ from .scattering import (
 )
 from .sweep import to_csv
 from .wavesynth import (
-    GridGuardError, beam_centroid_shift, front_causality_check,
-    is_quasi_static, propagate_pulse, quasi_static_ratio,
+    beam_centroid_shift, front_causality_check, is_quasi_static,
+    propagate_pulse, quasi_static_ratio,
 )
-
-_DEFAULTS = {
-    "n": 1.6,
-    "f_ghz": 9.15,
-    "theta_deg": 45.0,
-    "d_mm": 40.0,
-    "polarization": "TE",
-    "fwhm_ns": 16.0,
-    "channel": "transmission",
-    "waist_wavelengths": 20.0,
-    "d_min_mm": 5.0,
-    "d_max_mm": 50.0,
-    "d_steps": 10,
-    "front_sigmas": 3.0,
-}
 
 
 class ConfigError(ValueError):
@@ -60,14 +43,13 @@ class ConfigError(ValueError):
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=float, default=None, help="prism refractive index")
-    p.add_argument("--f-ghz", type=float, default=None, help="carrier frequency [GHz]")
-    p.add_argument("--theta-deg", type=float, default=None,
+    p.add_argument("--n", type=float, default=1.6, help="prism refractive index")
+    p.add_argument("--f-ghz", type=float, default=9.15, help="carrier frequency [GHz]")
+    p.add_argument("--theta-deg", type=float, default=45.0,
                    help="incidence angle from the normal [deg]")
-    p.add_argument("--d-mm", type=float, default=None, help="gap width [mm]")
-    p.add_argument("--polarization", choices=["TE", "TM"], default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with the same keys; flags override it")
+    p.add_argument("--d-mm", type=float, default=40.0, help="gap width [mm]")
+    p.add_argument("--polarization", choices=["TE", "TM"], default="TE")
+    p.add_argument("--config", help="JSON file with the same keys; flags override it")
     p.add_argument("--codata-c", action="store_true",
                    help="use the exact SI speed of light instead of 3e8")
     p.add_argument("--with-version", action="store_true",
@@ -80,6 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Double-prism evanescent-gap calculations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that more than one subcommand takes
+    channel = {"choices": ["transmission", "reflection"], "default": "transmission"}
+    fwhm_ns = {"type": float, "default": 16.0}
 
     p = sub.add_parser("attenuation", help="decay constant and transmissions")
     _add_common(p)
@@ -87,43 +72,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hartman", help="delay/energy saturation sweep over d")
     _add_common(p)
-    p.add_argument("--d-min-mm", type=float, default=None)
-    p.add_argument("--d-max-mm", type=float, default=None)
-    p.add_argument("--d-steps", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
+    p.add_argument("--d-min-mm", type=float, default=5.0)
+    p.add_argument("--d-max-mm", type=float, default=50.0)
+    p.add_argument("--d-steps", type=int, default=10)
+    p.add_argument("--out", help="CSV path (default stdout)")
 
     p = sub.add_parser("pulse", help="propagate a pulse, report its envelope")
     _add_common(p)
-    p.add_argument("--fwhm-ns", type=float, default=None)
-    p.add_argument("--channel", choices=["transmission", "reflection"], default=None)
-    p.add_argument("--out", type=str, default=None, help="CSV path for the series")
+    p.add_argument("--fwhm-ns", **fwhm_ns)
+    p.add_argument("--channel", **channel)
+    p.add_argument("--out", help="CSV path for the series")
 
     p = sub.add_parser("beam", help="angular-spectrum beam centroid shift")
     _add_common(p)
-    p.add_argument("--waist-wavelengths", type=float, default=None)
-    p.add_argument("--channel", choices=["transmission", "reflection"], default=None)
-    p.add_argument("--out", type=str, default=None, help="CSV path for the profile")
+    p.add_argument("--waist-wavelengths", type=float, default=20.0)
+    p.add_argument("--channel", **channel)
+    p.add_argument("--out", help="CSV path for the profile")
 
     p = sub.add_parser("energy", help="stored energy and dwell time")
     _add_common(p)
-    p.add_argument("--train-first-car", type=int, default=None,
+    p.add_argument("--train-first-car", type=int,
                    help="include the train toy model with this first-car count")
-    p.add_argument("--train-cars", type=int, default=None)
+    p.add_argument("--train-cars", type=int, default=5)
 
     p = sub.add_parser("causality", help="front leakage of a truncated pulse")
     _add_common(p)
-    p.add_argument("--fwhm-ns", type=float, default=None)
-    p.add_argument("--front-sigmas", type=float, default=None,
+    p.add_argument("--fwhm-ns", **fwhm_ns)
+    p.add_argument("--front-sigmas", type=float, default=3.0,
                    help="front position before the peak, in envelope sigmas")
-    p.add_argument("--rise-ns", type=float, default=None,
+    p.add_argument("--rise-ns", type=float,
                    help="smooth turn-on duration (default fwhm/16)")
     return parser
-
-
-def _command_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The argparse actions of one subcommand, keyed by destination."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -138,42 +117,25 @@ def _config_value(action: argparse.Action, key: str, value):
     return kind(value)
 
 
-def _merge_config(args: argparse.Namespace, actions: dict) -> None:
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in actions or not hasattr(args, key):
-                raise ConfigError(f"unknown config key {key!r}")
-            value = _config_value(actions[key], key, value)
-            if getattr(args, key) in (None, False):
-                setattr(args, key, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _scenario(args: argparse.Namespace) -> Scenario:
-    kwargs = {}
-    if args.codata_c:
-        kwargs["c"] = C_CODATA
-    return Scenario(
-        n=args.n,
-        f=args.f_ghz * 1e9,
-        theta=math.radians(args.theta_deg),
-        d=args.d_mm * 1e-3,
-        polarization=args.polarization,
-        **kwargs,
-    )
-
-
-def _channel(args: argparse.Namespace) -> Channel:
-    return Channel(args.channel)
+def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                 argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv`` again with the checked values of ``args.config`` as the
+    subcommand's defaults, so that every flag given explicitly wins."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    for key, value in loaded.items():
+        if key not in actions or not hasattr(args, key):
+            raise ConfigError(f"unknown config key {key!r}")
+        command.set_defaults(**{key: _config_value(actions[key], key, value)})
+    return parser.parse_args(argv)
 
 
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
@@ -182,16 +144,18 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_csv(text: str, path: str | None) -> None:
-    if path is None:
+def _version_line(args: argparse.Namespace) -> str:
+    """The ``# evanesce <version>`` first line of text and CSV output, or ""."""
+    return f"# evanesce {__version__}\n" if args.with_version else ""
+
+
+def _write_csv(text: str, args: argparse.Namespace) -> None:
+    text = _version_line(args) + text
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _csv_header_lines(args: argparse.Namespace) -> tuple[str, ...]:
-    return (f"evanesce {__version__}",) if args.with_version else ()
 
 
 def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
@@ -208,8 +172,7 @@ def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
     if args.json:
         _emit_json(report, args)
     else:
-        if args.with_version:
-            sys.stdout.write(f"# evanesce {__version__}\n")
+        sys.stdout.write(_version_line(args))
         for key, value in report.items():
             sys.stdout.write(f"{key} = {value!r}\n")
     return 0
@@ -234,22 +197,19 @@ def cmd_hartman(args: argparse.Namespace, scenario: Scenario) -> int:
     # normalized to the widest gap as a product of ratios, each of order
     # one, so that nothing underflows at the narrowest gaps
     u_norm = (per_area / per_area[-1]) * (s / s[-1])
-    text = to_csv(
+    _write_csv(to_csv(
         ("d_mm", "tau0_ps", "s_cm", "tau_g_ps", "dwell_ps", "U_norm"),
         (d * 1e3, bd.phase_delay * 1e12, s * 1e2, bd.group_delay * 1e12,
-         per_area / flux * 1e12, u_norm),
-        "%.6g", _csv_header_lines(args))
-    _write_csv(text, args.out)
+         per_area / flux * 1e12, u_norm), "%.6g"), args)
     return 0
 
 
 def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
     pulse = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
-    series, report = propagate_pulse(scenario, pulse, _channel(args))
+    series, report = propagate_pulse(scenario, pulse, Channel(args.channel))
     if args.out is not None:
         _write_csv(to_csv(("t_ns", "field"),
-                          (series.t_samples * 1e9, series.values),
-                          "%r", _csv_header_lines(args)), args.out)
+                          (series.t_samples * 1e9, series.values), "%r"), args)
     _emit_json({
         "channel": series.channel.value,
         "fwhm_ns": report.fwhm * 1e9,
@@ -267,19 +227,17 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
 def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
     lam = vacuum_wavelength(scenario.f, scenario.c)
     beam = BeamSpec(waist=args.waist_wavelengths * lam)
-    channel = _channel(args)
+    channel = Channel(args.channel)
     profile = beam_centroid_shift(scenario, beam, channel)
     if args.out is not None:
         _write_csv(to_csv(("x_cm", "intensity"),
-                          (profile.x_samples * 100, profile.intensity),
-                          "%r", _csv_header_lines(args)), args.out)
+                          (profile.x_samples * 100, profile.intensity), "%r"), args)
     _emit_json({
         "channel": channel.value,
         "waist_wavelengths": args.waist_wavelengths,
         "centroid_cm": profile.centroid * 100,
         "centroid_shift_cm": profile.centroid_shift * 100,
-        "gh_shift_cm": (goos_hanchen_shift(scenario, channel) * 100
-                        if scenario.d > 0 else 0.0),
+        "gh_shift_cm": goos_hanchen_shift(scenario, channel) * 100,
     }, args)
     return 0
 
@@ -295,11 +253,10 @@ def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:
         ),
     }
     if args.train_first_car is not None:
-        cars = args.train_cars if args.train_cars is not None else 5
-        total, proxy = train_model(args.train_first_car, cars)
+        total, proxy = train_model(args.train_first_car, args.train_cars)
         payload["train"] = {
             "first_car": args.train_first_car,
-            "cars": cars,
+            "cars": args.train_cars,
             "total_passengers": total,
             "delay_proxy": proxy,
             "bound": 2 * args.train_first_car,
@@ -309,12 +266,10 @@ def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:
 
 
 def cmd_causality(args: argparse.Namespace, scenario: Scenario) -> int:
-    fwhm = args.fwhm_ns * 1e-9
-    sigma = fwhm / (2 * math.sqrt(math.log(2)))
-    pulse = PulseSpec(
-        fwhm=fwhm,
-        carrier=scenario.f,
-        front_time=-args.front_sigmas * sigma,
+    plain = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
+    pulse = replace(
+        plain,
+        front_time=-args.front_sigmas * plain.sigma,
         front_rise=args.rise_ns * 1e-9 if args.rise_ns is not None else None,
     )
     leak = front_causality_check(scenario, pulse, dt_factor=16)
@@ -339,19 +294,23 @@ _COMMANDS = {
     "causality": cmd_causality,
 }
 
-_CONFIG_ERRORS = (ConfigError, ValueError, RegimeError, DegenerateChannelError,
-                  GridGuardError)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, _command_actions(parser, args.command))
-        scenario = _scenario(args)
+        if args.config:
+            args = _with_config(parser, args, argv)
+        scenario = Scenario(
+            n=args.n,
+            f=args.f_ghz * 1e9,
+            theta=math.radians(args.theta_deg),
+            d=args.d_mm * 1e-3,
+            polarization=args.polarization,
+            c=C_CODATA if args.codata_c else C_VACUUM,
+        )
         scenario.require_tunneling()
         return _COMMANDS[args.command](args, scenario)
-    except _CONFIG_ERRORS as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

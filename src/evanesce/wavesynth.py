@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
-from .delay import Channel, DegenerateChannelError
+from .delay import Channel, DegenerateChannelError, _lateral_slowness
 from .scattering import _transfer, scatter
 
 
@@ -234,7 +234,7 @@ def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
     """
     _require_live(scenario, channel)
     kx_carrier = wavevectors(scenario).k_x
-    kx_per_omega = scenario.n * math.sin(scenario.theta) / scenario.c
+    kx_per_omega = _lateral_slowness(scenario)
     coef = np.empty(len(omegas), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(omegas), _BLOCK):

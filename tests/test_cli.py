@@ -375,6 +375,46 @@ class TestConfigFile:
         from_file = run_cli("attenuation", "--config", str(cfg)).stdout
         assert from_file == run_cli("attenuation", "--d-mm", "10").stdout
 
+    @staticmethod
+    def run_with_config(tmp_path, capsys, values, *argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code = cli.main([argv[0], "--config", str(cfg), *argv[1:]])
+        return code, *capsys.readouterr()
+
+    # an explicit flag equal to 0 wins over the file as any other flag does;
+    # the file's value once replaced it
+    def test_explicit_zero_step_count(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(
+            tmp_path, capsys, {"d_steps": 10}, "hartman", "--d-steps", "0")
+        assert (code, out, err) == (2, "", "error: need at least 2 sweep points\n")
+
+    def test_explicit_closed_prisms(self, tmp_path, capsys):
+        assert cli.main(["energy", "--d-mm", "0"]) == 0
+        closed = capsys.readouterr().out
+        code, out, err = self.run_with_config(
+            tmp_path, capsys, {"d_mm": 40.0}, "energy", "--d-mm", "0")
+        assert (code, out, err) == (0, closed, "")
+
+    def test_explicit_front_at_peak(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(
+            tmp_path, capsys, {"front_sigmas": 3.0}, "causality", "--front-sigmas", "0")
+        assert (code, err) == (0, "")
+        front = json.loads(out)["front_time_ns"]
+        assert front == 0.0 and math.copysign(1.0, front) == -1.0
+
+    @pytest.mark.parametrize("command", ["attenuation", "hartman", "pulse", "beam",
+                                         "energy", "causality"])
+    def test_defaults_round_trip(self, command, tmp_path, capsys):
+        # a file that sets every option with a default to that default
+        parsed = vars(cli._build_parser().parse_args([command]))
+        defaults = {key: value for key, value in parsed.items()
+                    if key != "command" and value is not None}
+        assert cli.main([command]) == 0
+        plain = capsys.readouterr().out
+        code, out, err = self.run_with_config(tmp_path, capsys, defaults, command)
+        assert (code, out, err) == (0, plain, "")
+
     def test_codata_constant_switch(self):
         exact = parse_report(run_cli("attenuation", "--codata-c").stdout)
         rounded = parse_report(run_cli("attenuation").stdout)
