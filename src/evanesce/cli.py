@@ -129,12 +129,12 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     if not isinstance(loaded, dict):
         raise ConfigError("config file must hold a JSON object")
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = sub.choices[args.command]
-    actions = {a.dest: a for a in command._actions}
+    sub_parser = sub.choices[args.command]
+    actions = {a.dest: a for a in sub_parser._actions}
     for key, value in loaded.items():
         if key not in actions or not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        command.set_defaults(**{key: _config_value(actions[key], key, value)})
+        sub_parser.set_defaults(**{key: _config_value(actions[key], key, value)})
     return parser.parse_args(argv)
 
 

@@ -79,6 +79,7 @@ _PLAIN = [
     ["beam", "--polarization", "TM", "--out", "{out}"],
     ["beam", "--channel", "reflection"],
     ["beam", "--channel", "reflection", "--d-mm", "0"],
+    ["beam", "--d-mm", "0"],
     ["beam", "--d-mm", "500"],
     ["beam", "--d-mm", "10000"],
     ["beam", "--theta-deg", "30"],
