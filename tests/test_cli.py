@@ -382,8 +382,7 @@ class TestConfigFile:
         code = cli.main([argv[0], "--config", str(cfg), *argv[1:]])
         return code, *capsys.readouterr()
 
-    # an explicit flag equal to 0 wins over the file as any other flag does;
-    # the file's value once replaced it
+    # an explicit flag equal to 0 wins over the file, as any other flag does
     def test_explicit_zero_step_count(self, tmp_path, capsys):
         code, out, err = self.run_with_config(
             tmp_path, capsys, {"d_steps": 10}, "hartman", "--d-steps", "0")
