@@ -94,6 +94,8 @@ _PLAIN = [
     ["causality", "--polarization", "TM"],
     ["causality", "--fwhm-ns", "1e12"],
     ["causality", "--theta-deg", "30"],
+    ["causality", "--d-mm", "290000"],
+    ["attenuation", "--config", ""],
 ]
 
 # "{config}" stands for a fresh file holding the case's config as JSON.
@@ -105,6 +107,7 @@ _WITH_CONFIG = [
     (["hartman", "--config", "{config}"], {"d_steps": 2.5}),
     (["attenuation", "--config", "{config}"], [1.6, 9.15]),
     (["energy", "--config", "{config}", "--d-mm", "0"], {"d_mm": 40.0}),
+    (["attenuation", "--config", "{config}"], {"config": "other.json"}),
 ]
 
 # (argv, config or None) of every case, in corpus order
