@@ -102,14 +102,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Wavevectors:
-    """Propagation constants at one (scenario, omega) point.
+    """Propagation constants of a scenario at its carrier.
 
     ``kappa`` is the gap decay constant in the evanescent regime and 0
     otherwise; below the critical angle the gap carries a real normal
     wavenumber instead, reported with the scattering result.
     """
 
-    omega: float      # rad/s
     k_x: float        # 1/m, interface-parallel (conserved)
     k_z_prism: float  # 1/m, normal component inside the prism
     kappa: float      # 1/m, evanescent decay constant (0 when propagating)
@@ -184,21 +183,17 @@ def pulse_spatial_extent(pulse: PulseSpec, c: float = C_VACUUM) -> float:
     return c * pulse.fwhm
 
 
-def wavevectors(scenario: Scenario, omega: float | None = None) -> Wavevectors:
-    """Propagation constants for ``scenario`` at angular frequency ``omega``.
+def wavevectors(scenario: Scenario) -> Wavevectors:
+    """Propagation constants for ``scenario`` at its carrier omega.
 
     ``kappa`` follows the attenuation-constant formula
     (omega/c) sqrt(n^2 sin^2(theta) - 1) in the evanescent regime and is 0
     below the critical angle.
     """
-    if omega is None:
-        omega = scenario.omega
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    n, th, c = scenario.n, scenario.theta, scenario.c
+    n, th, c, omega = scenario.n, scenario.theta, scenario.c, scenario.omega
     k_prism = n * omega / c
     k_x = k_prism * math.sin(th)
     k_z = k_prism * math.cos(th)
     radicand = n * n * math.sin(th) ** 2 - 1.0
     kappa = (omega / c) * math.sqrt(radicand) if radicand > 0 else 0.0
-    return Wavevectors(omega=omega, k_x=k_x, k_z_prism=k_z, kappa=kappa)
+    return Wavevectors(k_x=k_x, k_z_prism=k_z, kappa=kappa)

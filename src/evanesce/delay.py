@@ -70,7 +70,6 @@ class DelayBreakdown:
     phase_delay: float | np.ndarray  # s, frequency-derivative term (tau_0)
     gh_shift: float | np.ndarray     # m, Goos-Hanchen lateral shift (s)
     group_delay: float | np.ndarray  # s, total (tau_g)
-    channel: Channel
 
 
 def _lateral_slowness(scenario: Scenario) -> float:
@@ -78,12 +77,15 @@ def _lateral_slowness(scenario: Scenario) -> float:
     return scenario.n * math.sin(scenario.theta) / scenario.c
 
 
-def _delays(scenario: Scenario, d: np.ndarray, channel: Channel):
-    """(tau_0 [s], s [m]) arrays at the carrier for the gap widths ``d``."""
-    scenario.require_tunneling()
-    if channel is Channel.REFLECTION and np.any(d == 0):
-        raise DegenerateChannelError(
-            "reflection coefficient is zero (d=0); phase undefined")
+def _require_live(scenario: Scenario, channel: Channel) -> None:
+    """Reject the reflection channel of closed prisms, where r = 0."""
+    if channel is Channel.REFLECTION and scenario.d == 0:
+        raise DegenerateChannelError("reflection vanishes identically at d=0")
+
+
+def _delays(scenario: Scenario, d: np.ndarray):
+    """(tau_0 [s], s [m]) arrays at the carrier for the gap widths ``d``,
+    shared by both channels.  Evanescent regime only: callers check it."""
     wv = wavevectors(scenario)
     kappa, alpha, k_x = wv.kappa, wv.k_z_prism, wv.k_x
     tm = scenario.polarization is Polarization.TM
@@ -125,12 +127,14 @@ def total_group_delay(scenario: Scenario,
                       channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
     """Assemble tau_g = tau_0 + s * n sin(theta)/c for one channel."""
     if scenario.d == 0 and channel is Channel.TRANSMISSION:
-        return DelayBreakdown(0.0, 0.0, 0.0, channel)
+        return DelayBreakdown(0.0, 0.0, 0.0)
+    scenario.require_tunneling()
+    _require_live(scenario, channel)
     # one-element array: the same arithmetic as a sweep, to the last bit
     tau0, shift = (float(v[0])
-                   for v in _delays(scenario, np.array([scenario.d]), channel))
+                   for v in _delays(scenario, np.array([scenario.d])))
     tau_g = tau0 + shift * _lateral_slowness(scenario)
-    return DelayBreakdown(tau0, shift, tau_g, channel)
+    return DelayBreakdown(tau0, shift, tau_g)
 
 
 def delay_implied_by_shift(scenario: Scenario, shift: float) -> float:
@@ -149,8 +153,8 @@ def hartman_sweep(scenario: Scenario,
 
     ``d_values`` must be positive, finite and ascending.  The breakdown
     holds one SI array per term, entry i at ``d_values[i]``, all evaluated
-    at once over the ``d`` array.  Both channels share these delays at
-    every positive width, so the breakdown is the transmission one.
+    at once over the ``d`` array; both channels share them at every
+    positive width.
     """
     d = np.asarray(d_values, dtype=float)
     if d.size == 0:
@@ -159,6 +163,7 @@ def hartman_sweep(scenario: Scenario,
         raise ValueError("d_values must be positive and finite")
     if np.any(np.diff(d) <= 0):
         raise ValueError("d_values must be strictly ascending")
-    tau0, shift = _delays(scenario, d, Channel.TRANSMISSION)
+    scenario.require_tunneling()
+    tau0, shift = _delays(scenario, d)
     tau_g = tau0 + shift * _lateral_slowness(scenario)
-    return DelayBreakdown(tau0, shift, tau_g, Channel.TRANSMISSION)
+    return DelayBreakdown(tau0, shift, tau_g)

@@ -61,24 +61,19 @@ def _growing_at_exit(res: ScatterResult, d: float) -> complex:
     return res.d_amp * np.exp(-1j * res.k_z_gap * d) if res.d_amp else 0j
 
 
-def _exp_integral(x: complex, d: float) -> complex:
-    """Integral of e^{-x z} over [0, d], exact as x -> 0."""
-    return -np.expm1(-x * d) / x if x != 0 else d
-
-
 def _field_integrals(res: ScatterResult, d: float) -> tuple[float, float]:
-    """Integrals of |F|^2 and |F'|^2 over the gap, term by term.
+    """Integrals of |F|^2 and |F'|^2 over an evanescent gap, term by term.
 
-    With k_z = b + i g (b or g is zero) the two exponentials have profiles
-    e^{-+2 g z} and their cross term e^{2 i b z}.  The growing term is taken
-    at z = d, so e^{2 g d} is never formed.
+    With k_z = i kappa the two exponentials have profiles e^{-+2 kappa z}
+    and their cross term is constant.  The growing term is taken at z = d,
+    so e^{2 kappa d} is never formed.
     """
-    kz = res.k_z_gap
+    kappa = res.k_z_gap.imag
     c_amp, d_amp = res.c_amp, res.d_amp
     pure = ((abs(c_amp) ** 2 + abs(_growing_at_exit(res, d)) ** 2)
-            * _exp_integral(2 * kz.imag, d))
-    cross = 2 * (c_amp * d_amp.conjugate() * _exp_integral(-2j * kz.real, d)).real
-    return float(pure + cross), float(abs(kz) ** 2 * (pure - cross))
+            * (-np.expm1(-2 * kappa * d) / (2 * kappa)))
+    cross = 2 * (c_amp * d_amp.conjugate() * d).real
+    return float(pure + cross), float(kappa ** 2 * (pure - cross))
 
 
 def incident_flux(scenario: Scenario) -> float:
@@ -97,9 +92,10 @@ def integrated_density(scenario: Scenario) -> float:
     """Energy per unit interface area at the carrier: integral of u(z) over
     the gap.
 
-    Closed form, term by term in the two gap amplitudes; it holds above and
-    below the critical angle and at any gap width.
+    Closed form, term by term in the two gap amplitudes; it holds in the
+    evanescent regime at any gap width.
     """
+    scenario.require_tunneling()
     if scenario.d == 0:
         return 0.0
     omega = scenario.omega
@@ -158,6 +154,8 @@ def train_model(n_first_car: int, n_cars: int) -> tuple[int, float]:
     total = 0
     occupancy = n_first_car
     for _ in range(n_cars):
+        if occupancy == 0:  # every later car is empty too
+            break
         total += occupancy
         occupancy //= 2
     return total, total / (2 * n_first_car)

@@ -97,8 +97,9 @@ def scatter(scenario: Scenario, omega: float | None = None,
             evanescent_drive: bool = False) -> ScatterResult:
     """Solve the two-interface problem at (omega, k_x).
 
-    Parameters default to the scenario carrier and its incidence angle.
-    Scalar inputs give scalar (complex) fields; array inputs broadcast.
+    ``omega`` and ``k_x`` are given together, or neither for the scenario
+    carrier at its incidence angle.  Scalar inputs give scalar (complex)
+    fields; array inputs broadcast.
     ``evanescent_drive`` admits k_x >= n*omega/c, interpreting the input as
     a transversely uniform forcing instead of an incident propagating wave
     (needed by fixed-transverse-wavenumber spectral synthesis).
@@ -109,10 +110,10 @@ def scatter(scenario: Scenario, omega: float | None = None,
         Reflection/transmission coefficients and gap amplitudes, satisfying
         |r|^2 + |t|^2 = 1 for the lossless symmetric stack.
     """
+    if (omega is None) != (k_x is None):
+        raise ValueError("give omega and k_x together, or neither")
     if omega is None:
-        omega = scenario.omega
-    if k_x is None:
-        k_x = wavevectors(scenario, omega).k_x
+        omega, k_x = scenario.omega, wavevectors(scenario).k_x
     omega_a = np.asarray(omega, dtype=float)
     kx_a = np.asarray(k_x, dtype=float)
     if not (np.all(np.isfinite(omega_a)) and np.all(np.isfinite(kx_a))):

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
-from .delay import Channel, DegenerateChannelError, _lateral_slowness
+from .delay import Channel, _lateral_slowness, _require_live
 from .scattering import _transfer, scatter
 
 
@@ -215,11 +215,6 @@ def _analytic(lo: int, one_sided: np.ndarray, n: int) -> np.ndarray:
     spectrum = np.zeros(n, dtype=complex)
     spectrum[lo:lo + len(one_sided)] = one_sided
     return np.fft.ifft(spectrum, out=spectrum)
-
-
-def _require_live(scenario: Scenario, channel: Channel) -> None:
-    if channel is Channel.REFLECTION and scenario.d == 0:
-        raise DegenerateChannelError("reflection vanishes identically at d=0")
 
 
 def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
@@ -397,7 +392,7 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     output envelope before that instant is synthesis floor, and the
     returned ratio must not grow under grid refinement.  ``dt_factor``
     sets the samples per carrier period (at least 8); the window is a fixed
-    64 fwhm.
+    64 fwhm, and a vacuum arrival past its end raises ``GridGuardError``.
     """
     if pulse.front_time is None:
         raise ValueError("front causality check needs a pulse with a front")
@@ -405,13 +400,16 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     t = time_grid(pulse, dt_factor, _FRONT_SPAN)
     if pulse.front_time <= t[0] or pulse.front_time >= t[-1]:
         raise GridGuardError("front_time outside the synthesis window")
+    # t[0] < front_time <= arrival, so the window always opens pre-front
+    arrival = pulse.front_time + scenario.d / scenario.c
+    if arrival >= t[-1]:
+        raise GridGuardError(
+            f"front arrival {arrival:.3g} s lies past the synthesis window's "
+            f"end at {t[-1]:.3g} s")
     lo, omegas, one_sided = _one_sided(pulse, t, _step(pulse, dt_factor))
     env = np.abs(_filtered(lo, omegas, one_sided, len(t), scenario,
                            Channel.TRANSMISSION, fixed_kx=True))
-    arrival = pulse.front_time + scenario.d / scenario.c
     pre_front = t < arrival
-    if not pre_front.any():
-        raise GridGuardError("no samples ahead of the front arrival time")
     return float(env[pre_front].max() / env.max())
 
 
@@ -420,10 +418,6 @@ def quasi_static_ratio(scenario: Scenario, pulse: PulseSpec) -> float:
     if scenario.d == 0:
         return math.inf
     return scenario.c * pulse.fwhm / scenario.d
-
-
-def is_quasi_static(scenario: Scenario, pulse: PulseSpec) -> bool:
-    return quasi_static_ratio(scenario, pulse) > 10
 
 
 def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
@@ -444,7 +438,7 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
             f"{beam.waist / lam:.2f}"
         )
     omega = scenario.omega
-    kx0 = wavevectors(scenario, omega).k_x
+    kx0 = wavevectors(scenario).k_x
     n_points, length = _BEAM_POINTS, _BEAM_SPAN * beam.waist
     x = (np.arange(n_points) - n_points // 2) * (length / n_points)
     k_rel = 2 * math.pi * np.fft.fftfreq(n_points, length / n_points)

@@ -279,6 +279,17 @@ class TestEnergyCommand:
         assert payload["train"]["total_passengers"] == 31
         assert payload["train"]["bound"] == 32
 
+    def test_train_of_a_trillion_cars(self):
+        # every car past the fifth is empty; counting them one by one took
+        # about a day, so a regression fails on the timeout, not by hanging
+        proc = subprocess.run(
+            [sys.executable, "-m", "evanesce", "energy", "--train-first-car", "16",
+             "--train-cars", "1000000000000"],
+            capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        train = json.loads(proc.stdout)["train"]
+        assert (train["total_passengers"], train["delay_proxy"]) == (31, 0.96875)
+
 
 class TestTenMeterGap:
     """t underflows to 0 past ~7.4 m; no command needs t itself."""
@@ -368,6 +379,19 @@ class TestConfigFile:
         assert proc.stderr.startswith("error: ")
         assert expected in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    def test_empty_config_path_rejected(self, capsys):
+        # an empty path is a path that cannot be read, not "no config"
+        code = cli.main(["attenuation", "--config", ""])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config '': ")
+        assert err.count("\n") == 1
+
+    def test_config_key_rejected(self, tmp_path, capsys):
+        code, out, err = self.run_with_config(
+            tmp_path, capsys, {"config": "other.json"}, "attenuation")
+        assert (code, out, err) == (2, "", "error: unknown config key 'config'\n")
 
     def test_integer_accepted_for_float_key(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -203,8 +203,9 @@ class TestStoredEnergy:
 
     def test_below_critical_rejected(self):
         s = Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.04)
-        with pytest.raises(RegimeError):
-            stored_energy(s)
+        for fn in (stored_energy, integrated_density):
+            with pytest.raises(RegimeError):
+                fn(s)
 
 
 class TestEvanescentVsFree:
