@@ -74,6 +74,7 @@ _PLAIN = [
     ["pulse", "--d-mm", "1000", "--polarization", "TM"],
     ["pulse", "--d-mm", "5000"],
     ["pulse", "--theta-deg", "30"],
+    ["pulse", "--d-mm", "0"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
@@ -95,6 +96,10 @@ _PLAIN = [
     ["causality", "--fwhm-ns", "1e12"],
     ["causality", "--theta-deg", "30"],
     ["causality", "--d-mm", "290000"],
+    ["causality", "--d-mm", "400"],
+    ["causality", "--polarization", "TM", "--d-mm", "10"],
+    ["causality", "--f-ghz", "20", "--n", "2.2", "--theta-deg", "70"],
+    ["causality", "--rise-ns", "0.3", "--front-sigmas", "5"],
     ["attenuation", "--config", ""],
 ]
 
