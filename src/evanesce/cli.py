@@ -139,9 +139,11 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    """Print the payload as RFC 8259 JSON, which has no NaN or Infinity: a
+    non-finite value raises ``ValueError`` (exit 2) before anything prints."""
     if args.with_version:
         payload = {"version": __version__, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _version_line(args: argparse.Namespace) -> str:
@@ -219,7 +221,7 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
         "peak_amplitude": report.peak_amplitude,
         "peak_intensity_ratio": report.peak_amplitude ** 2,
         "spatial_extent_m": pulse_spatial_extent(pulse, scenario.c),
-        "quasi_static_ratio": ratio,
+        "quasi_static_ratio": ratio if scenario.d > 0 else None,
         "quasi_static": ratio > 10,
     }, args)
     return 0

@@ -126,9 +126,9 @@ def goos_hanchen_shift(scenario: Scenario,
 def total_group_delay(scenario: Scenario,
                       channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
     """Assemble tau_g = tau_0 + s * n sin(theta)/c for one channel."""
+    scenario.require_tunneling()
     if scenario.d == 0 and channel is Channel.TRANSMISSION:
         return DelayBreakdown(0.0, 0.0, 0.0)
-    scenario.require_tunneling()
     _require_live(scenario, channel)
     # one-element array: the same arithmetic as a sweep, to the last bit
     tau0, shift = (float(v[0])

@@ -18,7 +18,8 @@ proportional to omega) would amplify above the pulse.  A pulse with a
 front takes the real FFT (``rfft``) of its samples on every positive bin,
 because its smooth turn-on has no closed form.  Either way the channel
 coefficient is evaluated on the band alone and the band fills one zeroed
-length-n buffer, so the carrier-rate grid and series keep their length.
+length-n buffer (see below), so the carrier-rate grid and series keep
+their length.
 The grid step is the one ``time_grid`` multiplies by, not t[1] - t[0],
 which misses it by a rounding of (1 - n/2) dt - (-n/2) dt.
 
@@ -46,11 +47,23 @@ floor sits far below any leakage tolerance of interest.
 
 The per-bin work is sized for the cache, not the grid.  The channel
 coefficient is evaluated over consecutive blocks of ``_BLOCK`` bins into
-one array; every operation in it is elementwise, so each bin gets the
-same bits as from one pass over all bins.  ``sample_pulse`` takes an
-ascending grid and evaluates the pulse only on the span where it can be
-nonzero (after the front, within 38.7 sigma, past which the Gaussian
-underflows to 0.0), writing zeros elsewhere.
+one array, each block's temporaries released before the next block's are
+made; every operation in it is elementwise, so each bin gets the same bits
+as from one pass over all bins.  ``sample_pulse`` takes an ascending grid
+and evaluates the pulse only on the span where it can be nonzero (after
+the front, within 38.7 sigma, past which the Gaussian underflows to 0.0),
+writing zeros elsewhere.
+
+Each synthesis holds one length-n complex buffer (``_analytic``).  The
+band is written into it and released, the coefficient is multiplied into
+it, and the bin frequencies and the coefficient are released before the
+inverse FFT runs over the buffer in place; the front check also drops its
+time grid first.  So no band-sized array sits beside the buffer while the
+transform runs, and the transform's own scratch, about twice the buffer
+(measured as the resident-set growth of one in-place inverse FFT of 2^18
+and 2^19 samples), is the floor of the synthesis.  The largest traced
+allocation is the buffer, the bin frequencies and the coefficient while
+the coefficient is formed: under 2.25 buffers.
 """
 
 from __future__ import annotations
@@ -176,13 +189,17 @@ def time_grid(pulse: PulseSpec, dt_factor: int, span_factor: int) -> np.ndarray:
         )
     dt = _step(pulse, dt_factor)
     n_req = int(math.ceil(span_factor * pulse.fwhm / dt))
-    n = 1 << (n_req - 1).bit_length()
+    return _grid(1 << (n_req - 1).bit_length(), dt)
+
+
+def _grid(n: int, dt: float) -> np.ndarray:
+    """The n samples of step ``dt`` with sample n/2 at t = 0."""
     return (np.arange(n) - n // 2) * dt
 
 
-def _one_sided(pulse: PulseSpec, t: np.ndarray, dt: float):
-    """The pulse's analytic spectrum 2 X(omega_k) on the grid ``t`` of step
-    ``dt``, as (lo, omegas, values) on the bins lo, lo + 1, ...; every
+def _one_sided(pulse: PulseSpec, n: int, dt: float):
+    """The pulse's analytic spectrum 2 X(omega_k) on the n-sample grid of
+    step ``dt``, as (lo, omegas, values) on the bins lo, lo + 1, ...; every
     other bin with omega > 0 holds 0.
 
     A plain pulse takes the closed-form DFT of the sampled Gaussian,
@@ -190,12 +207,12 @@ def _one_sided(pulse: PulseSpec, t: np.ndarray, dt: float):
     + e^{-(w + w0)^2 sigma^2/2}] (-1)^k, on the band |w - w0| <= 38.7/sigma
     where it can be nonzero; (-1)^k places the time origin at sample n/2
     of the power-of-two grid.  A pulse with a front takes the ``rfft`` of
-    its samples on every positive bin.
+    its samples on every positive bin, doubled in place.
     """
-    n = len(t)
     if pulse.front_time is not None:
-        return (1, 2 * math.pi * np.fft.rfftfreq(n, dt)[1:(n + 1) // 2],
-                2.0 * np.fft.rfft(sample_pulse(pulse, t))[1:(n + 1) // 2])
+        band = np.fft.rfft(sample_pulse(pulse, _grid(n, dt)))[1:(n + 1) // 2]
+        band *= 2.0
+        return 1, 2 * math.pi * np.fft.rfftfreq(n, dt)[1:(n + 1) // 2], band
     w0, sigma = 2 * math.pi * pulse.carrier, pulse.sigma
     reach, bin_width = _GAUSS_REACH / sigma, 2 * math.pi / (n * dt)
     lo = max(1, math.ceil((w0 - reach) / bin_width))
@@ -207,13 +224,34 @@ def _one_sided(pulse: PulseSpec, t: np.ndarray, dt: float):
         np.arange(lo, hi) % 2, -gauss, gauss)
 
 
-def _analytic(lo: int, one_sided: np.ndarray, n: int) -> np.ndarray:
-    """Length-n analytic signal whose spectrum is ``one_sided`` on the bins
-    lo, lo + 1, ... and 0 on every other bin.  The inverse transform is
-    written over the spectrum (the same bits), so one length-n complex
-    buffer is held, not two."""
+def _analytic(pulse: PulseSpec, n: int, dt: float,
+              coefficient=None) -> np.ndarray:
+    """Length-n analytic signal of the pulse on the n-sample grid of step
+    ``dt``: its one-sided spectrum from ``_one_sided``, times the conjugated
+    ``coefficient(omegas)`` on the band when one is given.
+
+    One length-n complex buffer is held.  The band is written into it and
+    released; the coefficient is then evaluated, and the product is formed
+    in the buffer in one multiply, after which the bin frequencies and the
+    coefficient are released too.  So no band-sized array is alive while
+    the inverse transform runs over the buffer in place, and numpy's FFT
+    scratch (about twice the buffer, measured) is the floor of the
+    synthesis.  The caller passes the pulse, not its band, so that this
+    function holds the only references it releases.
+    """
+    lo, omegas, band = _one_sided(pulse, n, dt)
     spectrum = np.zeros(n, dtype=complex)
-    spectrum[lo:lo + len(one_sided)] = one_sided
+    window = spectrum[lo:lo + len(band)]
+    window[...] = band
+    del band
+    if coefficient is not None:
+        coef = coefficient(omegas)
+        del omegas
+        # conjugate: physical coefficients are defined for e^{-i omega t}.
+        # The band stays the first operand: with fused multiply-adds the
+        # complex product is not commutative to the last bit.
+        np.multiply(window, np.conj(coef, out=coef), out=window)
+        del coef
     return np.fft.ifft(spectrum, out=spectrum)
 
 
@@ -230,34 +268,22 @@ def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
     _require_live(scenario, channel)
     kx_carrier = wavevectors(scenario).k_x
     kx_per_omega = _lateral_slowness(scenario)
+
+    # one block's temporaries are released before the next block's are made
+    def block(w):
+        kx = kx_carrier if fixed_kx else kx_per_omega * w
+        _, beta, prop, den, r_num = _transfer(scenario, w, kx, fixed_kx)
+        if channel is Channel.REFLECTION:
+            return r_num / den
+        if beta_ref is None:
+            return prop / den
+        return np.exp(1j * (beta - beta_ref) * scenario.d) / den
+
     coef = np.empty(len(omegas), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(omegas), _BLOCK):
-            w = omegas[start:start + _BLOCK]
-            kx = np.full_like(w, kx_carrier) if fixed_kx else kx_per_omega * w
-            _, beta, prop, den, r_num = _transfer(scenario, w, kx, fixed_kx)
-            if channel is Channel.REFLECTION:
-                num = r_num
-            elif beta_ref is None:
-                num = prop
-            else:
-                num = np.exp(1j * (beta - beta_ref) * scenario.d)
-            coef[start:start + _BLOCK] = num / den
+            coef[start:start + _BLOCK] = block(omegas[start:start + _BLOCK])
     return coef
-
-
-def _filtered(lo: int, omegas: np.ndarray, one_sided: np.ndarray, n: int,
-              scenario: Scenario, channel: Channel, fixed_kx: bool,
-              beta_ref: complex | None = None) -> np.ndarray:
-    """Analytic output signal of one channel from the band ``one_sided``
-    on the bins lo, lo + 1, ... (see ``_one_sided`` and ``_coefficient``)."""
-    coef = _coefficient(omegas, scenario, channel, fixed_kx, beta_ref)
-    # conjugate: physical coefficients are defined for e^{-i omega t}.  The
-    # product runs on the whole band: numpy's SIMD complex multiply rounds
-    # by operand layout, so a blocked product would move last bits.  It is
-    # written over the coefficient, so the band is held once, not twice.
-    return _analytic(lo, np.multiply(one_sided, np.conj(coef, out=coef),
-                                     out=coef), n)
 
 
 def _peak_time(t: np.ndarray, dt: float, env: np.ndarray) -> float:
@@ -316,24 +342,28 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     _check_quasi_monochromatic(pulse)
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
     dt = _step(pulse, _DT_FACTOR)
-    lo, omegas, one_sided = _one_sided(pulse, t, dt)
     w0 = 2 * math.pi * pulse.carrier
     # on the fixed-angle drive beta is proportional to omega
     beta0 = w0 / scenario.c * cmath.sqrt(
         1 - (scenario.n * math.sin(scenario.theta)) ** 2)
-    carrier = 1.0
-    if channel is Channel.TRANSMISSION:
-        # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
-        # is the largest double
-        growth = beta0.imag * scenario.d * (1 - omegas[0] / w0)
-        if not growth < 709:
-            raise GridGuardError(
-                "gap too wide for the pulse synthesis: transmission varies by "
-                f"e^{growth:.3g} across the pulse band, past double range")
-        carrier = cmath.exp(1j * beta0 * scenario.d)
-    analytic_in = _analytic(lo, one_sided, len(t))
-    analytic_out = _filtered(lo, omegas, one_sided, len(t), scenario, channel,
-                             fixed_kx=False, beta_ref=beta0)
+
+    def coefficient(omegas):
+        if channel is Channel.TRANSMISSION:
+            # e^{i(beta - beta0) d} is largest on the band's lowest bin;
+            # e^709.78 is the largest double
+            growth = beta0.imag * scenario.d * (1 - omegas[0] / w0)
+            if not growth < 709:
+                raise GridGuardError(
+                    "gap too wide for the pulse synthesis: transmission "
+                    f"varies by e^{growth:.3g} across the pulse band, past "
+                    "double range")
+        return _coefficient(omegas, scenario, channel, fixed_kx=False,
+                            beta_ref=beta0)
+
+    analytic_out = _analytic(pulse, len(t), dt, coefficient)
+    analytic_in = _analytic(pulse, len(t), dt)
+    carrier = (cmath.exp(1j * beta0 * scenario.d)
+               if channel is Channel.TRANSMISSION else 1.0)
     return t, dt, analytic_in, analytic_out, carrier
 
 
@@ -406,11 +436,14 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
         raise GridGuardError(
             f"front arrival {arrival:.3g} s lies past the synthesis window's "
             f"end at {t[-1]:.3g} s")
-    lo, omegas, one_sided = _one_sided(pulse, t, _step(pulse, dt_factor))
-    env = np.abs(_filtered(lo, omegas, one_sided, len(t), scenario,
-                           Channel.TRANSMISSION, fixed_kx=True))
-    pre_front = t < arrival
-    return float(env[pre_front].max() / env.max())
+    # the grid ascends: the samples before the arrival are t[:k]
+    n, k = len(t), int(np.searchsorted(t, arrival))
+    del t  # not held beside the synthesis, whose working set is the peak
+    env = np.abs(_analytic(
+        pulse, n, _step(pulse, dt_factor),
+        lambda omegas: _coefficient(omegas, scenario, Channel.TRANSMISSION,
+                                    fixed_kx=True)))
+    return float(env[:k].max() / env.max())
 
 
 def quasi_static_ratio(scenario: Scenario, pulse: PulseSpec) -> float:

@@ -175,6 +175,25 @@ class TestPulseCommand:
         # every field is the shortest repr of its float
         assert rows and all(repr(float(v)) == v for row in rows for v in row.split(","))
 
+    def test_zero_gap_ratio_is_null(self, capsys):
+        # c*fwhm/d is infinite at d = 0, which RFC 8259 JSON cannot hold
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        assert cli.main(["pulse", "--d-mm", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["quasi_static_ratio"] is None
+        assert payload["quasi_static"] is True
+
+    def test_non_finite_value_exits_2(self, monkeypatch, capsys):
+        # a stand-in for any other non-finite value: one line, nothing printed
+        monkeypatch.setattr(cli, "quasi_static_ratio", lambda *args: math.nan)
+        assert cli.main(["pulse"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Out of range float values")
+        assert err.count("\n") == 1
+
 
 class TestPulseWideGap:
     """The envelope of ``pulse`` is measured at wide gaps: its input

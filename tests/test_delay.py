@@ -153,6 +153,12 @@ class TestGroupDelay:
         with pytest.raises(RegimeError):
             total_group_delay(s, Channel.TRANSMISSION)
 
+    def test_below_critical_rejected_at_zero_gap(self):
+        # d = 0 returns the zero breakdown only once the regime is checked
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.0)
+        with pytest.raises(RegimeError):
+            total_group_delay(s, Channel.TRANSMISSION)
+
 
 class TestEquationInversion:
     def test_hundred_ps_shift(self, headline):
