@@ -2,11 +2,11 @@
 
 Each case runs ``evanesce.cli.main`` in this process and records its exit
 code, stdout, stderr and, for ``--out`` runs, the SHA-256 of the written
-file; a ``--config`` case also records the config it reads.  Warnings are
-recorded on stderr as ``<Category>: <message>`` lines, once per distinct
-source location as the default filter of a fresh interpreter shows them,
-but without the file path, so the corpus does not depend on where the
-package is installed.
+file (null when the run wrote none); a ``--config`` case also records the
+config it reads.  Warnings are recorded on stderr as ``<Category>:
+<message>`` lines, once per distinct source location as the default filter
+of a fresh interpreter shows them, but without the file path, so the
+corpus does not depend on where the package is installed.
 
 ``tests/test_golden.py`` replays the corpus.  A change that moves output
 bytes regenerates it and names the moved bytes in its change log:
@@ -75,6 +75,7 @@ _PLAIN = [
     ["pulse", "--d-mm", "5000"],
     ["pulse", "--theta-deg", "30"],
     ["pulse", "--d-mm", "0"],
+    ["pulse", "--channel", "reflection", "--d-mm", "1e-300", "--out", "{out}"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
@@ -84,6 +85,10 @@ _PLAIN = [
     ["beam", "--d-mm", "500"],
     ["beam", "--d-mm", "10000"],
     ["beam", "--theta-deg", "30"],
+    ["beam", "--channel", "reflection", "--d-mm", "1e-300", "--out", "{out}"],
+    ["beam", "--polarization", "TM", "--n", "1.39", "--theta-deg", "66.3",
+     "--f-ghz", "6.13", "--d-mm", "149688", "--waist-wavelengths", "45.6",
+     "--out", "{out}"],
     ["energy"],
     ["energy", "--d-mm", "0"],
     ["energy", "--d-mm", "400"],
@@ -144,8 +149,10 @@ def replay(argv: list[str], workdir: str, config=None) -> dict:
     record = {"exit": code, "stderr": stderr.getvalue(),
               "stdout": stdout.getvalue().splitlines(keepends=True)}
     if out_path in argv:
-        with open(out_path, "rb") as fh:
-            record["out_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        record["out_sha256"] = None  # the run wrote no file
+        if os.path.exists(out_path):
+            with open(out_path, "rb") as fh:
+                record["out_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     return record
 
 
