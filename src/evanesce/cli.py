@@ -138,12 +138,13 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return parser.parse_args(argv)
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    """Print the payload as RFC 8259 JSON, which has no NaN or Infinity: a
-    non-finite value raises ``ValueError`` (exit 2) before anything prints."""
+def _json(payload: dict, args: argparse.Namespace) -> str:
+    """The payload as RFC 8259 JSON, which has no NaN or Infinity: a
+    non-finite value raises ``ValueError`` (exit 2), so it is formed before
+    anything is written, ``--out`` included."""
     if args.with_version:
         payload = {"version": __version__, **payload}
-    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _version_line(args: argparse.Namespace) -> str:
@@ -172,7 +173,7 @@ def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
         "critical_angle_deg": math.degrees(critical_angle(scenario.n)),
     }
     if args.json:
-        _emit_json(report, args)
+        sys.stdout.write(_json(report, args))
     else:
         sys.stdout.write(_version_line(args))
         for key, value in report.items():
@@ -209,11 +210,8 @@ def cmd_hartman(args: argparse.Namespace, scenario: Scenario) -> int:
 def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
     pulse = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
     series, report = propagate_pulse(scenario, pulse, Channel(args.channel))
-    if args.out is not None:
-        _write_csv(to_csv(("t_ns", "field"),
-                          (series.t_samples * 1e9, series.values), "%r"), args)
     ratio = quasi_static_ratio(scenario, pulse)
-    _emit_json({
+    text = _json({
         "channel": series.channel.value,
         "fwhm_ns": report.fwhm * 1e9,
         "peak_delay_ps": report.peak_time * 1e12,
@@ -224,6 +222,10 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
         "quasi_static_ratio": ratio if scenario.d > 0 else None,
         "quasi_static": ratio > 10,
     }, args)
+    if args.out is not None:
+        _write_csv(to_csv(("t_ns", "field"),
+                          (series.t_samples * 1e9, series.values), "%r"), args)
+    sys.stdout.write(text)
     return 0
 
 
@@ -232,16 +234,17 @@ def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
     beam = BeamSpec(waist=args.waist_wavelengths * lam)
     channel = Channel(args.channel)
     profile = beam_centroid_shift(scenario, beam, channel)
-    if args.out is not None:
-        _write_csv(to_csv(("x_cm", "intensity"),
-                          (profile.x_samples * 100, profile.intensity), "%r"), args)
-    _emit_json({
+    text = _json({
         "channel": channel.value,
         "waist_wavelengths": args.waist_wavelengths,
         "centroid_cm": profile.centroid * 100,
         "centroid_shift_cm": profile.centroid_shift * 100,
         "gh_shift_cm": goos_hanchen_shift(scenario, channel) * 100,
     }, args)
+    if args.out is not None:
+        _write_csv(to_csv(("x_cm", "intensity"),
+                          (profile.x_samples * 100, profile.intensity), "%r"), args)
+    sys.stdout.write(text)
     return 0
 
 
@@ -264,7 +267,7 @@ def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:
             "delay_proxy": proxy,
             "bound": 2 * args.train_first_car,
         }
-    _emit_json(payload, args)
+    sys.stdout.write(_json(payload, args))
     return 0
 
 
@@ -277,14 +280,14 @@ def cmd_causality(args: argparse.Namespace, scenario: Scenario) -> int:
     )
     leak = front_causality_check(scenario, pulse, dt_factor=16)
     leak_fine = front_causality_check(scenario, pulse, dt_factor=32)
-    _emit_json({
+    sys.stdout.write(_json({
         "leakage_ratio": leak,
         "leakage_ratio_refined": leak_fine,
         "self_convergent": bool(leak_fine <= 5 * leak + 1e-9),
         "front_time_ns": pulse.front_time * 1e9,
         "front_arrival_ns": (pulse.front_time + scenario.d / scenario.c) * 1e9,
         "rise_ns": pulse.rise * 1e9,
-    }, args)
+    }, args))
     return 0
 
 

@@ -93,16 +93,13 @@ def _transfer(scenario: Scenario, omega, k_x, evanescent_drive: bool):
 
 
 def scatter(scenario: Scenario, omega: float | None = None,
-            k_x: float | None = None, *,
-            evanescent_drive: bool = False) -> ScatterResult:
+            k_x: float | None = None) -> ScatterResult:
     """Solve the two-interface problem at (omega, k_x).
 
     ``omega`` and ``k_x`` are given together, or neither for the scenario
     carrier at its incidence angle.  Scalar inputs give scalar (complex)
-    fields; array inputs broadcast.
-    ``evanescent_drive`` admits k_x >= n*omega/c, interpreting the input as
-    a transversely uniform forcing instead of an incident propagating wave
-    (needed by fixed-transverse-wavenumber spectral synthesis).
+    fields; array inputs broadcast.  k_x must be that of a wave propagating
+    in the prism, k_x < n*omega/c.
 
     Returns
     -------
@@ -127,7 +124,7 @@ def scatter(scenario: Scenario, omega: float | None = None,
     # angle both diverge (r and t do not): that point gives inf/nan amplitudes.
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha_hat, beta, prop, den, r_num = _transfer(
-            scenario, omega_a, kx_a, evanescent_drive)
+            scenario, omega_a, kx_a, False)
         t = prop / den
         r = r_num / den
         ratio = alpha_hat / beta

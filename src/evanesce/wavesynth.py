@@ -45,25 +45,27 @@ turn-on: the field is identically zero before front_time, which is what
 defines a front, while the spectrum stays tame enough that the synthesis
 floor sits far below any leakage tolerance of interest.
 
-The per-bin work is sized for the cache, not the grid.  The channel
-coefficient is evaluated over consecutive blocks of ``_BLOCK`` bins into
-one array, each block's temporaries released before the next block's are
-made; every operation in it is elementwise, so each bin gets the same bits
-as from one pass over all bins.  ``sample_pulse`` takes an ascending grid
-and evaluates the pulse only on the span where it can be nonzero (after
-the front, within 38.7 sigma, past which the Gaussian underflows to 0.0),
-writing zeros elsewhere.
+One routine, ``_coefficient``, gives every synthesis its t or r: the beam
+on its launchable k_x, the pulse and the front check on their bands in
+blocks of ``_BLOCK`` bins, each block's conjugate multiplied into the
+buffer (below) before the next is formed, so the per-bin work is sized for
+the cache, not the grid.  Every operation is elementwise, so each bin gets
+the same bits as from one pass over all bins.
+``sample_pulse`` takes an ascending grid and evaluates the pulse only on
+the span where it can be nonzero (after the front, within 38.7 sigma,
+past which the Gaussian underflows to 0.0), writing zeros elsewhere.
 
 Each synthesis holds one length-n complex buffer (``_analytic``).  The
 band is written into it and released, the coefficient is multiplied into
-it, and the bin frequencies and the coefficient are released before the
+it block by block, and the bin frequencies are released before the
 inverse FFT runs over the buffer in place; the front check also drops its
 time grid first.  So no band-sized array sits beside the buffer while the
 transform runs, and the transform's own scratch, about twice the buffer
 (measured as the resident-set growth of one in-place inverse FFT of 2^18
 and 2^19 samples), is the floor of the synthesis.  The largest traced
-allocation is the buffer, the bin frequencies and the coefficient while
-the coefficient is formed: under 2.25 buffers.
+allocation is the buffer, the band and the bin frequencies while the band
+is written into the buffer: about 1.75 buffers.  An output that underflows
+to 0.0 at every sample has nothing to measure and raises GridGuardError.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
 from .delay import Channel, _lateral_slowness, _require_live
-from .scattering import _transfer, scatter
+from .scattering import _transfer
 
 
 # Bins per block of the channel coefficient: 128 KiB per complex temporary,
@@ -230,14 +232,12 @@ def _analytic(pulse: PulseSpec, n: int, dt: float,
     ``dt``: its one-sided spectrum from ``_one_sided``, times the conjugated
     ``coefficient(omegas)`` on the band when one is given.
 
-    One length-n complex buffer is held.  The band is written into it and
-    released; the coefficient is then evaluated, and the product is formed
-    in the buffer in one multiply, after which the bin frequencies and the
-    coefficient are released too.  So no band-sized array is alive while
-    the inverse transform runs over the buffer in place, and numpy's FFT
-    scratch (about twice the buffer, measured) is the floor of the
-    synthesis.  The caller passes the pulse, not its band, so that this
-    function holds the only references it releases.
+    One length-n complex buffer is held (see the module docstring): the
+    band is written into it and released, each block's coefficient is
+    multiplied into it, and the bin frequencies are released before the
+    inverse transform runs over it in place.  The caller passes the pulse,
+    not its band, so that this function holds the only references it
+    releases.
     """
     lo, omegas, band = _one_sided(pulse, n, dt)
     spectrum = np.zeros(n, dtype=complex)
@@ -245,45 +245,32 @@ def _analytic(pulse: PulseSpec, n: int, dt: float,
     window[...] = band
     del band
     if coefficient is not None:
-        coef = coefficient(omegas)
-        del omegas
-        # conjugate: physical coefficients are defined for e^{-i omega t}.
-        # The band stays the first operand: with fused multiply-adds the
-        # complex product is not commutative to the last bit.
-        np.multiply(window, np.conj(coef, out=coef), out=window)
-        del coef
+        for start in range(0, len(omegas), _BLOCK):
+            part = window[start:start + _BLOCK]
+            # conjugate: physical coefficients are defined for e^{-i omega t}
+            np.multiply(part, np.conj(coefficient(omegas[start:start + _BLOCK])),
+                        out=part)
+    del omegas
     return np.fft.ifft(spectrum, out=spectrum)
 
 
-def _coefficient(omegas: np.ndarray, scenario: Scenario, channel: Channel,
-                 fixed_kx: bool, beta_ref: complex | None = None) -> np.ndarray:
-    """Channel coefficient on the bins ``omegas``, in blocks of ``_BLOCK``.
+def _coefficient(scenario: Scenario, omega, k_x, channel: Channel,
+                 evanescent_drive: bool = False,
+                 beta_ref: complex | None = None):
+    """Channel coefficient t or r at (omega, k_x), elementwise.
 
-    ``_transfer`` is elementwise, so each bin gets the same bits as from
-    one call over all bins, while its temporaries stay cache-sized.  With
-    ``beta_ref``, transmission is divided by e^{i beta_ref d}: it is formed
-    as e^{i(beta - beta_ref) d}/den, which stays bounded near beta_ref where
-    e^{i beta d} itself underflows.
+    With ``beta_ref``, transmission is divided by e^{i beta_ref d}: it is
+    formed as e^{i(beta - beta_ref) d}/den, which stays bounded near
+    beta_ref where e^{i beta d} itself underflows.
     """
-    _require_live(scenario, channel)
-    kx_carrier = wavevectors(scenario).k_x
-    kx_per_omega = _lateral_slowness(scenario)
-
-    # one block's temporaries are released before the next block's are made
-    def block(w):
-        kx = kx_carrier if fixed_kx else kx_per_omega * w
-        _, beta, prop, den, r_num = _transfer(scenario, w, kx, fixed_kx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, beta, prop, den, r_num = _transfer(scenario, omega, k_x,
+                                              evanescent_drive)
         if channel is Channel.REFLECTION:
             return r_num / den
         if beta_ref is None:
             return prop / den
         return np.exp(1j * (beta - beta_ref) * scenario.d) / den
-
-    coef = np.empty(len(omegas), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(omegas), _BLOCK):
-            coef[start:start + _BLOCK] = block(omegas[start:start + _BLOCK])
-    return coef
 
 
 def _peak_time(t: np.ndarray, dt: float, env: np.ndarray) -> float:
@@ -316,8 +303,11 @@ def _fwhm(t: np.ndarray, env: np.ndarray) -> float:
 
 
 def _shape_correlation(env_a: np.ndarray, env_b: np.ndarray) -> float:
-    corr = np.fft.irfft(np.fft.rfft(env_a) * np.conj(np.fft.rfft(env_b)),
-                        len(env_a))
+    cross = np.fft.rfft(env_a)
+    # the order of ``rfft(a) * np.conj(rfft(b))``, which reuses the left
+    # temporary: the complex product is not commutative to the last bit
+    np.multiply(cross, np.conj(np.fft.rfft(env_b)), out=cross)
+    corr = np.fft.irfft(cross, len(env_a))
     return float(corr.max()
                  / math.sqrt(float(np.sum(env_a ** 2) * np.sum(env_b ** 2))))
 
@@ -342,6 +332,7 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     _check_quasi_monochromatic(pulse)
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
     dt = _step(pulse, _DT_FACTOR)
+    _require_live(scenario, channel)
     w0 = 2 * math.pi * pulse.carrier
     # on the fixed-angle drive beta is proportional to omega
     beta0 = w0 / scenario.c * cmath.sqrt(
@@ -349,16 +340,16 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
 
     def coefficient(omegas):
         if channel is Channel.TRANSMISSION:
-            # e^{i(beta - beta0) d} is largest on the band's lowest bin;
-            # e^709.78 is the largest double
+            # e^{i(beta - beta0) d} is largest on the band's lowest bin,
+            # the first block's first; e^709.78 is the largest double
             growth = beta0.imag * scenario.d * (1 - omegas[0] / w0)
             if not growth < 709:
                 raise GridGuardError(
                     "gap too wide for the pulse synthesis: transmission "
                     f"varies by e^{growth:.3g} across the pulse band, past "
                     "double range")
-        return _coefficient(omegas, scenario, channel, fixed_kx=False,
-                            beta_ref=beta0)
+        return _coefficient(scenario, omegas, _lateral_slowness(scenario)
+                            * omegas, channel, beta_ref=beta0)
 
     analytic_out = _analytic(pulse, len(t), dt, coefficient)
     analytic_in = _analytic(pulse, len(t), dt)
@@ -380,6 +371,9 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     t, dt, analytic_in, analytic_out, carrier = _propagated(
         scenario, pulse, channel)
     env_in, env_out = np.abs(analytic_in), np.abs(analytic_out)
+    if env_out.max() ** 2 == 0.0:
+        raise GridGuardError(f"the {channel.value} envelope squared underflows "
+                             "to 0.0 at every sample: no width or shape to measure")
     report = PulseReport(
         peak_time=_peak_time(t, dt, env_out) - _peak_time(t, dt, env_in),
         fwhm=_fwhm(t, env_out),
@@ -439,10 +433,10 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     # the grid ascends: the samples before the arrival are t[:k]
     n, k = len(t), int(np.searchsorted(t, arrival))
     del t  # not held beside the synthesis, whose working set is the peak
+    kx = wavevectors(scenario).k_x
     env = np.abs(_analytic(
-        pulse, n, _step(pulse, dt_factor),
-        lambda omegas: _coefficient(omegas, scenario, Channel.TRANSMISSION,
-                                    fixed_kx=True)))
+        pulse, n, _step(pulse, dt_factor), lambda w: _coefficient(
+            scenario, w, kx, Channel.TRANSMISSION, evanescent_drive=True)))
     return float(env[:k].max() / env.max())
 
 
@@ -495,12 +489,14 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
         )
 
     coef = np.zeros(n_points, dtype=complex)
-    res = scatter(scenario, omega, kx[launchable])
-    coef[launchable] = res.t if channel is Channel.TRANSMISSION else res.r
+    coef[launchable] = _coefficient(scenario, omega, kx[launchable], channel)
 
     field_out = np.fft.fftshift(np.fft.ifft(spectrum * coef))
     field_ref = np.fft.fftshift(np.fft.ifft(np.where(launchable, spectrum, 0.0)))
     intensity = np.abs(field_out) ** 2
+    if not intensity.any():
+        raise GridGuardError(f"the {channel.value} intensity underflows to 0.0 "
+                             "at every sample: no centroid to measure")
     intensity_ref = np.abs(field_ref) ** 2
     centroid = float(np.sum(x * intensity) / np.sum(intensity))
     centroid_ref = float(np.sum(x * intensity_ref) / np.sum(intensity_ref))

@@ -1,9 +1,11 @@
 """Full-spectrum reference pipeline for the spectral synthesis tests.
 
 A complex FFT of the real samples (or, for a plain Gaussian pulse, its
-closed-form DFT on every bin), the channel coefficient taken from the
-public ``scatter`` on the positive-frequency bins, and an inverse FFT per
-analytic signal.  ``evanesce.wavesynth`` does the same filtering on the
+closed-form DFT on every bin), the channel coefficient on the
+positive-frequency bins, and an inverse FFT per analytic signal.  The
+coefficient comes from the public ``scatter``, or for the fixed-k_x drive,
+whose k_x lies past the prism cone that ``scatter`` admits, from
+``_transfer`` as t = e^{i phi}/den and r = r_num/den.  ``evanesce.wavesynth`` does the same filtering on the
 band of bins where the spectrum is nonzero, with one closed-form
 coefficient; the tests compare the two.
 """
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from evanesce import Channel, PulseSpec, Scenario, scatter, wavevectors
+from evanesce.scattering import _transfer
 
 
 def gaussian_spectrum(pulse: PulseSpec, n: int, dt: float) -> np.ndarray:
@@ -55,13 +58,16 @@ def filtered_analytic(values: np.ndarray, dt: float, scenario: Scenario,
     one_sided = np.where(pos, 2.0 * spectrum, 0.0)
     if fixed_kx:
         kx = np.full(pos.sum(), wavevectors(scenario).k_x)
-        res = scatter(scenario, omegas[pos], kx, evanescent_drive=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, _, prop, den, r_num = _transfer(scenario, omegas[pos], kx, True)
+            t, r = prop / den, r_num / den
     else:
         slope = scenario.n * math.sin(scenario.theta) / scenario.c
         res = scatter(scenario, omegas[pos], slope * omegas[pos])
+        t, r = res.t, res.r
     coef = np.ones(n, dtype=complex)
     # conjugate: physical coefficients are defined for e^{-i omega t}
-    coef[pos] = np.conj(res.t if channel is Channel.TRANSMISSION else res.r)
+    coef[pos] = np.conj(t if channel is Channel.TRANSMISSION else r)
     return np.fft.ifft(one_sided), np.fft.ifft(one_sided * coef)
 
 

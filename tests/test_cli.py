@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,43 @@ class TestBeamCommand:
         table = read_csv(out.read_text())
         assert tuple(table) == ("x_cm", "intensity")
         assert min(table["intensity"]) >= 0
+
+
+class TestFailedRunWritesNoOut:
+    """``pulse`` and ``beam`` write ``--out`` only once their JSON is formed
+    and checked, so a run that exits 2 leaves no file behind."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("pulse", "quasi_static_ratio"), ("beam", "goos_hanchen_shift")])
+    def test_non_finite_json(self, command, name, monkeypatch, tmp_path,
+                             capsys):
+        monkeypatch.setattr(cli, name, lambda *args: math.nan)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: Out of range float values")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pulse", "--channel", "reflection", "--d-mm", "1e-300"],
+        ["beam", "--channel", "reflection", "--d-mm", "1e-300"],
+        ["beam", "--polarization", "TM", "--n", "1.39", "--theta-deg", "66.3",
+         "--f-ghz", "6.13", "--d-mm", "149688", "--waist-wavelengths", "45.6"],
+    ])
+    def test_underflowed_output(self, argv, tmp_path, capsys):
+        # an output that is 0.0 at every sample has nothing to measure:
+        # its own line and exit 2, with no numpy warning
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: the ")
+        assert "underflows to 0.0 at every sample" in stderr
+        assert stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEnergyCommand:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from evanesce import (
     quasi_static_ratio, scatter, vacuum_wavelength, wavevectors,
 )
 from evanesce import wavesynth
+from evanesce.delay import _lateral_slowness
 from evanesce.scattering import _transfer
 from evanesce.wavesynth import (
     _BLOCK, _analytic, _coefficient, _one_sided,
@@ -126,6 +128,19 @@ class TestPulsePropagation:
     def test_reflection_degenerate_at_zero_gap(self, headline):
         with pytest.raises(DegenerateChannelError):
             propagate_pulse(replace(headline, d=0.0), PULSE, Channel.REFLECTION)
+
+    def test_underflowed_output_rejected(self, headline):
+        # at a 1e-303 m gap r is ~1e-301: the reflected envelope squared is
+        # 0.0 at every sample, which divided by zero in the shape correlation
+        # and let the width span the whole window
+        s = replace(headline, d=1e-303)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridGuardError, match="reflection envelope "
+                               "squared underflows to 0.0"):
+                propagate_pulse(s, PULSE, Channel.REFLECTION)
+            assert propagate_pulse(s, PULSE)[1].shape_correlation \
+                == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDifferentialDelay:
@@ -418,47 +433,51 @@ def carrier_beta(scenario):
         1 - (scenario.n * math.sin(scenario.theta)) ** 2)
 
 
+def assert_unblocked_product(scenario, pulse, n, dt):
+    """``_analytic`` with the coefficient multiplied into its buffer block by
+    block, against one unblocked ``np.multiply(band, np.conj(coef))`` placed
+    in a fresh zeroed spectrum, for both drives the synthesis uses: the
+    fixed angle relative to the carrier's beta, and the fixed k_x."""
+    lo, omegas, band = _one_sided(pulse, n, dt)
+    slope, kx0 = _lateral_slowness(scenario), wavevectors(scenario).k_x
+    for fixed_kx, beta_ref in ((False, carrier_beta(scenario)), (True, None)):
+        for channel in Channel:
+            got = _analytic(pulse, n, dt, lambda w: _coefficient(
+                scenario, w, kx0 if fixed_kx else slope * w, channel,
+                fixed_kx, beta_ref))
+            coef = unblocked_coefficient(omegas, scenario, channel, fixed_kx,
+                                         beta_ref)
+            spectrum = np.zeros(n, dtype=complex)
+            # np.multiply: ``a * np.conj(b)`` may reuse the temporary and
+            # swap the operands, which moves last bits
+            spectrum[lo:lo + len(band)] = np.multiply(band, np.conj(coef))
+            want = np.fft.ifft(spectrum)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (fixed_kx, channel)
+
+
 class TestBlockedSynthesis:
     """Cache-sized blocks and live-span sampling keep every output bit."""
 
     @pytest.mark.parametrize("bins", [2047, 4 * _BLOCK, 32767, 131071, 262143])
     @pytest.mark.parametrize("polarization", list(Polarization))
     def test_coefficient_block_invariant(self, bins, polarization):
+        # a front pulse's band is every positive bin below Nyquist: n // 2
+        # bins for odd n, n/2 - 1 for even n
         s = Scenario(**HEADLINE, polarization=polarization)
-        dt = 1 / (16 * s.f)
-        omegas = 2 * math.pi * np.fft.rfftfreq(2 * bins + 1, dt)[1:]
-        assert len(omegas) == bins
-        for fixed_kx, beta_ref in ((False, None), (True, None),
-                                   (False, carrier_beta(s))):
-            for channel in Channel:
-                got = _coefficient(omegas, s, channel, fixed_kx, beta_ref)
-                want = unblocked_coefficient(omegas, s, channel, fixed_kx,
-                                             beta_ref)
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        n = 2 * bins + 1 if bins == 4 * _BLOCK else 2 * bins + 2
+        pulse, dt = front_pulse(), _step(PULSE, 16)
+        assert len(_one_sided(pulse, n, dt)[1]) == bins
+        assert_unblocked_product(s, pulse, n, dt)
 
     @pytest.mark.parametrize("polarization", list(Polarization))
     def test_filtered_matches_unblocked_product(self, polarization):
-        # the one-buffer synthesis against the band product formed on its own
-        # and placed in a fresh zeroed spectrum
+        # the synthesis grids: the plain pulse's closed-form band and the
+        # front pulse's full band
         s = Scenario(**HEADLINE, polarization=polarization)
         for pulse, span_factor in ((PULSE, 16), (front_pulse(), 64)):
             n, dt = len(time_grid(pulse, 16, span_factor)), _step(pulse, 16)
-            lo, omegas, one_sided = _one_sided(pulse, n, dt)
-            for fixed_kx, beta_ref in ((False, None), (True, None),
-                                       (False, carrier_beta(s))):
-                for channel in Channel:
-                    got = _analytic(pulse, n, dt, lambda w: _coefficient(
-                        w, s, channel, fixed_kx, beta_ref))
-                    coef = unblocked_coefficient(omegas, s, channel, fixed_kx,
-                                                 beta_ref)
-                    spectrum = np.zeros(n, dtype=complex)
-                    # np.multiply: ``a * np.conj(b)`` may reuse the temporary
-                    # and swap the operands, which moves last bits
-                    spectrum[lo:lo + len(one_sided)] = np.multiply(
-                        one_sided, np.conj(coef))
-                    want = np.fft.ifft(spectrum)
-                    assert got.tobytes() == want.tobytes()
+            assert_unblocked_product(s, pulse, n, dt)
 
     @pytest.mark.parametrize("dt_factor, span_factor",
                              [(16, 16), (16, 64), (32, 64)])
@@ -496,8 +515,9 @@ class TestBlockedSynthesis:
         # one complex sample costs 16 bytes.  The unblocked synthesis with
         # full-grid sampling peaked at 7.0x that, and with the grid, the bin
         # frequencies, the band and the coefficient held beside the buffer
-        # through the inverse transform at 2.76x.  The one-buffer synthesis
-        # holds the buffer, the bin frequencies and the coefficient at most.
+        # through the inverse transform at 2.76x.  With the coefficient
+        # multiplied into the buffer block by block, the peak is the buffer,
+        # the band and the bin frequencies: 1.75x.
         pulse = front_pulse()
         n = len(time_grid(pulse, dt_factor, 64))
         for polarization in Polarization:
@@ -508,7 +528,7 @@ class TestBlockedSynthesis:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.25 * 16 * n, polarization
+            assert peak <= 1.8 * 16 * n, polarization
 
 
 class TestQuasiStatic:
@@ -578,6 +598,49 @@ class TestBeam:
         with pytest.raises(DegenerateChannelError):
             beam_centroid_shift(replace(headline, d=0.0), beam,
                                 Channel.REFLECTION)
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_profile_matches_scatter_route(self, polarization, monkeypatch):
+        # the one coefficient routine gives every profile bit that the
+        # public scatter's t and r gave
+        def via_scatter(scenario, omega, k_x, channel):
+            res = scatter(scenario, omega, k_x)
+            return res.t if channel is Channel.TRANSMISSION else res.r
+
+        rng = np.random.default_rng(23)
+        headline = Scenario(**HEADLINE, polarization=polarization)
+        cases = [headline, replace(headline, d=0.5)]
+        for _ in range(20):
+            n = rng.uniform(1.3, 2.5)
+            theta = rng.uniform(math.asin(1 / n) + 0.03, math.radians(80))
+            cases.append(Scenario(n=n, f=rng.uniform(1e9, 40e9), theta=theta,
+                                  d=10 ** rng.uniform(-4, -0.5),
+                                  polarization=polarization))
+        for s in cases:
+            beam = BeamSpec(waist=rng.uniform(10, 40) * vacuum_wavelength(s.f))
+            for channel in Channel:
+                got = beam_centroid_shift(s, beam, channel)
+                with monkeypatch.context() as m:
+                    m.setattr(wavesynth, "_coefficient", via_scatter)
+                    want = beam_centroid_shift(s, beam, channel)
+                assert got.intensity.tobytes() == want.intensity.tobytes()
+                assert got.x_samples.tobytes() == want.x_samples.tobytes()
+                assert (got.centroid, got.centroid_shift) \
+                    == (want.centroid, want.centroid_shift)
+
+    @pytest.mark.parametrize("scenario, channel", [
+        (Scenario(**{**HEADLINE, "d": 1e-303}), Channel.REFLECTION),
+        (Scenario(n=1.39, f=6.13e9, theta=math.radians(66.3), d=149.688,
+                  polarization="TM"), Channel.TRANSMISSION),
+    ])
+    def test_underflowed_intensity_rejected(self, scenario, channel):
+        # the intensity is 0.0 at every sample: the centroid was 0/0 (NaN)
+        waist = 45.6 * vacuum_wavelength(scenario.f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridGuardError, match=f"the {channel.value} "
+                               "intensity underflows to 0.0"):
+                beam_centroid_shift(scenario, BeamSpec(waist=waist), channel)
 
     def test_waist_guard(self, headline):
         lam = vacuum_wavelength(headline.f)
