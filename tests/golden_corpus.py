@@ -45,6 +45,7 @@ _PLAIN = [
     ["attenuation", "--d-mm", "1e300"],
     ["attenuation", "--theta-deg", "30"],
     ["attenuation", "--n", "0.9"],
+    ["attenuation", "--theta-deg", "89.9999999"],
     ["hartman"],
     ["hartman", "--with-version"],
     ["hartman", "--polarization", "TM"],
@@ -63,6 +64,9 @@ _PLAIN = [
     ["hartman", "--d-min-mm", "50", "--d-max-mm", "5"],
     ["hartman", "--d-steps", "1"],
     ["hartman", "--theta-deg", "30"],
+    ["hartman", "--n", "2.17", "--f-ghz", "34.4", "--theta-deg", "89.9999999",
+     "--d-min-mm", "1e-4", "--d-max-mm", "2e-3", "--d-steps", "3"],
+    ["hartman", "--d-min-mm", "1e-310", "--d-max-mm", "1e-305", "--d-steps", "3"],
     ["pulse"],
     ["pulse", "--out", "{out}"],
     ["pulse", "--channel", "reflection", "--out", "{out}"],
@@ -76,6 +80,7 @@ _PLAIN = [
     ["pulse", "--theta-deg", "30"],
     ["pulse", "--d-mm", "0"],
     ["pulse", "--channel", "reflection", "--d-mm", "1e-300", "--out", "{out}"],
+    ["pulse", "--theta-deg", "89.9999999"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
@@ -96,6 +101,8 @@ _PLAIN = [
     ["energy", "--d-mm", "1e300"],
     ["energy", "--train-first-car", "16", "--train-cars", "5"],
     ["energy", "--theta-deg", "30"],
+    ["energy", "--theta-deg", "89.999999"],
+    ["energy", "--d-mm", "1e-300"],
     ["causality"],
     ["causality", "--polarization", "TM"],
     ["causality", "--fwhm-ns", "1e12"],
@@ -105,6 +112,9 @@ _PLAIN = [
     ["causality", "--polarization", "TM", "--d-mm", "10"],
     ["causality", "--f-ghz", "20", "--n", "2.2", "--theta-deg", "70"],
     ["causality", "--rise-ns", "0.3", "--front-sigmas", "5"],
+    ["causality", "--n", "1.6", "--f-ghz", "13.6", "--theta-deg", "89.9999999",
+     "--d-mm", "0.2"],
+    ["causality", "--n", "2.2", "--theta-deg", "30"],
     ["attenuation", "--config", ""],
 ]
 
