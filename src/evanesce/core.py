@@ -9,17 +9,19 @@ field is evanescent with decay constant
     kappa = (2 pi f / c) * sqrt(n^2 sin^2(theta) - 1)   [1/m]
 
 All quantities are SI.  Angles are radians internally; degree conversion
-belongs to the CLI layer.
+belongs to the CLI layer.  A nonzero gap width is a normal double [m].
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 C_VACUUM = 3.0e8          # m/s, rounded value used for all headline numbers
 C_CODATA = 299_792_458.0  # m/s, exact SI value, selectable via Scenario.c
+_MIN_GAP = sys.float_info.min  # m, the smallest positive gap width
 
 
 class Polarization(str, Enum):
@@ -49,7 +51,7 @@ class Scenario:
     theta : float
         Incidence angle from the interface normal [rad], in (0, pi/2).
     d : float
-        Gap width [m], >= 0.
+        Gap width [m]: 0, or at least ``sys.float_info.min``.
     polarization : Polarization
         Field polarization; TE is the default.
     c : float
@@ -75,8 +77,8 @@ class Scenario:
             raise ValueError(
                 f"incidence angle must lie in (0, pi/2) rad, got theta={self.theta}"
             )
-        if self.d < 0:
-            raise ValueError(f"gap width must be nonnegative, got d={self.d}")
+        if self.d != 0 and not self.d >= _MIN_GAP:
+            raise ValueError(f"gap width must be 0 or >= {_MIN_GAP} m, got d={self.d}")
         if self.c <= 0:
             raise ValueError(f"speed of light must be positive, got c={self.c}")
         object.__setattr__(self, "polarization", Polarization(self.polarization))

@@ -18,7 +18,7 @@ shift distance ``s`` at the interface trace speed c/(n sin(theta)).  That
 saturation with gap width is the Hartman effect, swept by
 ``hartman_sweep``.
 
-All derivatives are closed forms.  ``scatter`` writes t = e^{i beta d}/den
+All derivatives are closed forms.  ``scatter``'s t is e^{i beta d}/den
 with den = (2 + q)/4 * (1 + rho E), where q = alpha_hat/beta + beta/alpha_hat,
 rho = (2 - q)/(2 + q) and E = e^{2i beta d}.  Along any direction in
 (omega, k_x) at fixed d,
@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Polarization, Scenario, wavevectors
+from .core import _MIN_GAP, Polarization, Scenario, wavevectors
 
 
 class Channel(str, Enum):
@@ -151,16 +151,16 @@ def hartman_sweep(scenario: Scenario,
                   d_values: Sequence[float]) -> DelayBreakdown:
     """Delay breakdown versus gap width.
 
-    ``d_values`` must be positive, finite and ascending.  The breakdown
-    holds one SI array per term, entry i at ``d_values[i]``, all evaluated
-    at once over the ``d`` array; both channels share them at every
-    positive width.
+    ``d_values`` must be finite, ascending and >= ``sys.float_info.min``.
+    The breakdown holds one SI array per term, entry i at ``d_values[i]``,
+    all evaluated at once over the ``d`` array; both channels share them at
+    every positive width.
     """
     d = np.asarray(d_values, dtype=float)
     if d.size == 0:
         raise ValueError("d_values must be non-empty")
-    if not np.all(np.isfinite(d) & (d > 0)):
-        raise ValueError("d_values must be positive and finite")
+    if not np.all(np.isfinite(d) & (d >= _MIN_GAP)):
+        raise ValueError(f"d_values must be finite and at least {_MIN_GAP!r} m")
     if np.any(np.diff(d) <= 0):
         raise ValueError("d_values must be strictly ascending")
     scenario.require_tunneling()

@@ -23,7 +23,6 @@ same point with halved car occupancies summing to less than 2N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,9 @@ from .scattering import ScatterResult, scatter
 class EnergyBudget:
     """Stored energy in the d-by-s interaction region, per unit depth.
 
-    ``dwell_time = stored / incident_power`` exactly; the lateral extent s
-    cancels, leaving stored energy per unit interface area over the
-    incident normal flux.
+    ``dwell_time`` is stored energy per unit interface area over the
+    incident normal flux: stored / incident_power without the lateral
+    extent s that scales both, so it cannot underflow with them.
     """
 
     stored: float          # J/m in normalized units
@@ -47,8 +46,9 @@ class EnergyBudget:
     dwell_time: float      # s
 
 
-def _density_weights(scenario: Scenario, omega: float, k_x: float):
-    """Weights of |F|^2 and |F'|^2 in the energy density u(z)."""
+def _density_weights(scenario: Scenario):
+    """Weights of |F|^2 and |F'|^2 in the energy density u(z) at the carrier."""
+    omega, k_x = scenario.omega, wavevectors(scenario).k_x
     return (0.25 * (1 + (scenario.c * k_x / omega) ** 2),
             0.25 * (scenario.c / omega) ** 2)
 
@@ -79,13 +79,8 @@ def _field_integrals(res: ScatterResult, d: float) -> tuple[float, float]:
 def incident_flux(scenario: Scenario) -> float:
     """Normal component of the incident time-averaged flux at the carrier,
     normalized."""
-    omega = scenario.omega
-    k_x = wavevectors(scenario).k_x
-    alpha = math.sqrt((scenario.n * omega / scenario.c) ** 2 - k_x ** 2)
-    flux = scenario.c ** 2 * alpha / (2 * omega)
-    if scenario.polarization is Polarization.TM:
-        flux /= scenario.n ** 2
-    return flux
+    flux = scenario.c ** 2 * wavevectors(scenario).k_z_prism / (2 * scenario.omega)
+    return flux / scenario.n ** 2 if scenario.polarization is Polarization.TM else flux
 
 
 def integrated_density(scenario: Scenario) -> float:
@@ -98,10 +93,8 @@ def integrated_density(scenario: Scenario) -> float:
     scenario.require_tunneling()
     if scenario.d == 0:
         return 0.0
-    omega = scenario.omega
-    k_x = wavevectors(scenario).k_x
-    field_sq, slope_sq = _field_integrals(scatter(scenario, omega, k_x), scenario.d)
-    w_field, w_slope = _density_weights(scenario, omega, k_x)
+    field_sq, slope_sq = _field_integrals(scatter(scenario), scenario.d)
+    w_field, w_slope = _density_weights(scenario)
     return w_field * field_sq + w_slope * slope_sq
 
 
@@ -110,7 +103,7 @@ def stored_energy(scenario: Scenario) -> EnergyBudget:
 
     The lateral extent is the transmitted-channel Goos-Hanchen shift; the
     incident power crosses the matching s-wide entry window, so the dwell
-    time reduces to area-normalized stored energy over incident flux.
+    time is area-normalized stored energy over incident flux.
     """
     scenario.require_tunneling()
     if scenario.d == 0:
@@ -118,10 +111,8 @@ def stored_energy(scenario: Scenario) -> EnergyBudget:
     per_area = integrated_density(scenario)
     shift = goos_hanchen_shift(scenario, Channel.TRANSMISSION)
     flux = incident_flux(scenario)
-    stored = per_area * shift
-    power = flux * shift
-    return EnergyBudget(stored=stored, incident_power=power,
-                        dwell_time=stored / power)
+    return EnergyBudget(stored=per_area * shift, incident_power=flux * shift,
+                        dwell_time=per_area / flux)
 
 
 def evanescent_vs_free_energy(scenario: Scenario) -> float:

@@ -1,14 +1,17 @@
 """Exact two-interface boundary matching for prism / gap / prism.
 
 The stack is solved by composing the 2x2 interface and gap-propagation
-matrices with a complex gap wavenumber
+matrices with the normal wavenumbers alpha (prism) and beta (gap), whose
+principal branch (Im >= 0, decay toward +z) covers the evanescent and
+propagating regimes in one code path.  Eliminating the matrices gives the
+closed form used below, written in the bounded factor e^{2i beta d} so
+that nothing overflows at any gap width.
 
-    k_z_gap = sqrt((omega/c)^2 - k_x^2 + 0j),
-
-whose principal branch (Im >= 0, decay toward +z) covers the evanescent and
-propagating regimes in one code path.  Eliminating the matrices analytically
-gives the closed form used below, written in the bounded factor
-e^{2i k_z_gap d} so that nothing overflows at any gap width.
+One alpha: the carrier's alpha_0 = (n omega_0/c) cos(theta) and beta_0^2 =
+(omega_0/c)^2 (1 - n^2 sin^2 theta) cancel nothing near grazing, where
+(n omega/c)^2 - k_x^2 does.  Every other alpha^2 and beta^2 is theirs moved
+by exact increments (``_normal_wavenumbers``), or on the fixed-angle path,
+where both scale with omega, alpha_0 and beta_0 times omega/omega_0.
 
 Phase reference planes: the incident/reflected amplitudes live on the first
 gap face (z = 0) and the transmitted amplitude on the second (z = d), so the
@@ -19,6 +22,7 @@ the coefficients are H-field ratios.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,40 +48,37 @@ class ScatterResult:
     k_z_gap: complex
 
 
-def _matching_constants(scenario: Scenario, omega, k_x, evanescent_drive: bool):
-    """Interface constants (alpha_hat, k_z_gap); TM weights by 1/n^2."""
-    n, c = scenario.n, scenario.c
-    k0 = omega / c
-    alpha_sq = (n * k0) ** 2 - k_x ** 2
-    if evanescent_drive:
-        # transversely uniform spectral drive: frequencies below the prism
-        # cutoff are an evanescent forcing, principal branch Im >= 0
-        alpha = np.sqrt(alpha_sq + 0j)
-    else:
-        if np.any(alpha_sq <= 0):
-            raise ValueError(
-                "k_x must correspond to a propagating wave in the prism "
-                "(k_x < n*omega/c)"
-            )
-        alpha = np.sqrt(alpha_sq)
-        if np.any(alpha < 1e-9 * n * k0):
-            raise ValueError("degenerate grazing geometry: k_z_prism ~ 0")
-    beta = np.sqrt(k0 ** 2 - k_x ** 2 + 0j)  # principal branch: Im >= 0
-    alpha_hat = alpha / n ** 2 if scenario.polarization is Polarization.TM else alpha
-    return alpha_hat, beta
+def _carrier(scenario: Scenario) -> tuple[float, float, float]:
+    """(k_x0, alpha_0, beta_0^2) at the carrier, beta_0^2 from kappa's radicand."""
+    wv, k0 = wavevectors(scenario), scenario.omega / scenario.c
+    radicand = scenario.n * scenario.n * math.sin(scenario.theta) ** 2 - 1.0
+    return wv.k_x, wv.k_z_prism, -(k0 * k0) * radicand
 
 
-def _transfer(scenario: Scenario, omega, k_x, evanescent_drive: bool):
-    """(alpha_hat, k_z_gap, e^{i phi}, den, r_num): t = e^{i phi}/den and
-    r = r_num/den.  Callers set ``np.errstate`` (it divides by alpha_hat)."""
-    alpha_hat, beta = _matching_constants(scenario, omega, k_x, evanescent_drive)
+def _normal_wavenumbers(scenario: Scenario, omega, k_x):
+    """(alpha, beta) at (omega, k_x), elementwise: the carrier's squares
+    less (k_x - k_x0)(k_x + k_x0), first as it is 0 on the fixed-k_x drive,
+    plus n^2 (omega - omega_0)(omega + omega_0)/c^2, without n^2 for beta."""
+    w0, c = scenario.omega, scenario.c
+    kx0, alpha0, beta0_sq = _carrier(scenario)
+    d_omega = (omega - w0) * (omega + w0) / (c * c)
+    d_kx = (k_x - kx0) * (k_x + kx0)
+    return (np.sqrt(alpha0 * alpha0 - d_kx + scenario.n ** 2 * d_omega + 0j),
+            np.sqrt(beta0_sq - d_kx + d_omega + 0j))
+
+
+def _transfer(scenario: Scenario, alpha, beta):
+    """(alpha_hat, den, r_num): t = alpha_hat e^{i beta d}/den and
+    r = r_num/den, so that at the prism cutoff alpha = 0 (d > 0) they take
+    their limits 0 and -1.  Callers set ``np.errstate`` (it divides by beta)."""
+    alpha_hat = (alpha / scenario.n ** 2
+                 if scenario.polarization is Polarization.TM else alpha)
     d = scenario.d
     phi = beta * d
 
     # Scaled by the bounded e^{i phi} (Im beta >= 0), nothing overflows and
     # t underflows cleanly to 0 for kappa*d > ~745.  e^{i phi} sin(phi)/beta
     # via its series near phi = 0 keeps the critical angle and d = 0 exact.
-    prop = np.exp(1j * phi)
     e_sin = np.expm1(2j * phi) / 2j
     small = np.abs(phi) < 1e-8
     beta_safe = np.where(small, 1.0, beta)
@@ -86,10 +87,12 @@ def _transfer(scenario: Scenario, omega, k_x, evanescent_drive: bool):
     # np.where on scalars
     e_sin_over_beta = np.where(small, d * (1 + 1j * (phi * small)),
                                e_sin / beta_safe)
-    a_term = alpha_hat * e_sin_over_beta        # (alpha_hat/beta) e^{i phi} sin(phi)
-    b_term = beta * e_sin / alpha_hat           # (beta/alpha_hat) e^{i phi} sin(phi)
-    den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)  # 1 + i e^{i phi} sin = e^{i phi} cos
-    return alpha_hat, beta, prop, den, -0.5j * (a_term - b_term)
+    # alpha_hat (alpha_hat/beta +- beta/alpha_hat) e^{i phi} sin(phi) and
+    # alpha_hat e^{i phi} cos(phi): nothing divides by alpha_hat
+    a_term = alpha_hat * alpha_hat * e_sin_over_beta
+    b_term = beta * e_sin
+    den = alpha_hat * (1 + 1j * e_sin) - 0.5j * (a_term + b_term)
+    return alpha_hat, den, -0.5j * (a_term - b_term)
 
 
 def scatter(scenario: Scenario, omega: float | None = None,
@@ -98,8 +101,8 @@ def scatter(scenario: Scenario, omega: float | None = None,
 
     ``omega`` and ``k_x`` are given together, or neither for the scenario
     carrier at its incidence angle.  Scalar inputs give scalar (complex)
-    fields; array inputs broadcast.  k_x must be that of a wave propagating
-    in the prism, k_x < n*omega/c.
+    fields; array inputs broadcast.  A given k_x must be that of a wave
+    propagating in the prism, k_x < n*omega/c.
 
     Returns
     -------
@@ -109,29 +112,38 @@ def scatter(scenario: Scenario, omega: float | None = None,
     """
     if (omega is None) != (k_x is None):
         raise ValueError("give omega and k_x together, or neither")
+    scalar = np.ndim(omega) == 0 and np.ndim(k_x) == 0
     if omega is None:
-        omega, k_x = scenario.omega, wavevectors(scenario).k_x
-    omega_a = np.asarray(omega, dtype=float)
-    kx_a = np.asarray(k_x, dtype=float)
-    if not (np.all(np.isfinite(omega_a)) and np.all(np.isfinite(kx_a))):
-        raise ValueError("omega and k_x must be finite")
-    if np.any(omega_a <= 0):
-        raise ValueError("omega must be positive")
+        _, alpha, beta_sq = _carrier(scenario)
+        beta = cmath.sqrt(beta_sq)
+    else:
+        omega, k_x = np.asarray(omega, dtype=float), np.asarray(k_x, dtype=float)
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(k_x))):
+            raise ValueError("omega and k_x must be finite")
+        if np.any(omega <= 0):
+            raise ValueError("omega must be positive")
+        alpha, beta = _normal_wavenumbers(scenario, omega, k_x)
+        if np.any(alpha.real == 0):  # alpha^2 <= 0
+            raise ValueError("k_x must correspond to a propagating wave in the "
+                             "prism (k_x < n*omega/c)")
+        if np.any(alpha.real < 1e-9 * scenario.n * omega / scenario.c):
+            raise ValueError("degenerate grazing geometry: k_z_prism ~ 0")
 
     # The decaying amplitude is matched at the first interface, the growing
     # one (~e^{-2 kappa d}) at the second, where it is a product rather than
     # a difference cancelling to rounding noise.  Exactly at the critical
     # angle both diverge (r and t do not): that point gives inf/nan amplitudes.
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha_hat, beta, prop, den, r_num = _transfer(
-            scenario, omega_a, kx_a, False)
-        t = prop / den
+        alpha_hat, den, r_num = _transfer(scenario, alpha, beta)
+        prop = np.exp(1j * beta * scenario.d)
+        # without a gap t = 1, which alpha_hat/den gives only to rounding
+        t = alpha_hat * prop / den if scenario.d else np.ones_like(den)
         r = r_num / den
         ratio = alpha_hat / beta
         c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
         d_amp = 0.5 * t * (1 - ratio) * prop
 
-    if omega_a.ndim == 0 and kx_a.ndim == 0:
+    if scalar:
         return ScatterResult(
             r=complex(r), t=complex(t), c_amp=complex(c_amp),
             d_amp=complex(d_amp), k_z_gap=complex(beta),

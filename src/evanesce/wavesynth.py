@@ -23,34 +23,29 @@ their length.
 The grid step is the one ``time_grid`` multiplies by, not t[1] - t[0],
 which misses it by a rounding of (1 - n/2) dt - (-n/2) dt.
 
-Two drive conventions appear:
+Three drives appear, each forming alpha and beta from the carrier's:
 
-* fixed angle (default): each frequency carries k_x(omega) =
-  n omega sin(theta)/c.  This models the pulsed-beam delay measurement;
-  note that beyond the critical angle the wavefront trace speed
-  c/(n sin(theta)) is subluminal, so field may legitimately arrive at the
-  output plane ahead of front_time + d/c by entering the gap at earlier
-  interface points.  Transmission is formed in the bounded factor
-  e^{i(beta - beta_0) d} relative to the carrier, so the output envelope
-  keeps its scale at any gap width; the carrier factor e^{i beta_0 d} is
+* fixed angle (the pulse): k_x = n omega sin(theta)/c.  The trace speed
+  c/(n sin(theta)) is subluminal, so field may arrive ahead of
+  front_time + d/c by entering the gap at earlier interface points.
+  Transmission is formed relative to the carrier, e^{i(beta - beta_0) d},
+  so the envelope keeps its scale at any gap width; e^{i beta_0 d} is
   applied only to the reported series and peak amplitude.
-
-* fixed transverse wavenumber: every frequency shares the carrier k_x, a
-  transversely uniform drive for which front_time + d/c is the exact
-  relativistic front bound.  The front-causality check uses this drive; it
-  is the plane-slab analog of signalling through a below-cutoff guide.
+* fixed k_x (the front check): a transversely uniform drive whose exact
+  front bound is front_time + d/c, the analog of a below-cutoff guide;
+  alpha is imaginary below the prism cutoff and 0 on it.
+* fixed omega (the beam), on the launchable k_x.
 
 Pulses with a front are given compact support with a smooth (C-infinity)
 turn-on: the field is identically zero before front_time, which is what
 defines a front, while the spectrum stays tame enough that the synthesis
 floor sits far below any leakage tolerance of interest.
 
-One routine, ``_coefficient``, gives every synthesis its t or r: the beam
-on its launchable k_x, the pulse and the front check on their bands in
-blocks of ``_BLOCK`` bins, each block's conjugate multiplied into the
-buffer (below) before the next is formed, so the per-bin work is sized for
-the cache, not the grid.  Every operation is elementwise, so each bin gets
-the same bits as from one pass over all bins.
+One routine, ``_coefficient``, gives every drive its t or r, the pulse
+and the front check in blocks of ``_BLOCK`` bins, each block's conjugate
+multiplied into the buffer (below) before the next is formed, so the
+per-bin work is sized for the cache.  Every operation is elementwise, so
+each bin gets the same bits as from one pass over all bins.
 ``sample_pulse`` takes an ascending grid and evaluates the pulse only on
 the span where it can be nonzero (after the front, within 38.7 sigma,
 past which the Gaussian underflows to 0.0), writing zeros elsewhere.
@@ -77,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
-from .delay import Channel, _lateral_slowness, _require_live
-from .scattering import _transfer
+from .delay import Channel, _require_live
+from .scattering import _carrier, _normal_wavenumbers, _transfer
 
 
 # Bins per block of the channel coefficient: 128 KiB per complex temporary,
@@ -254,23 +249,21 @@ def _analytic(pulse: PulseSpec, n: int, dt: float,
     return np.fft.ifft(spectrum, out=spectrum)
 
 
-def _coefficient(scenario: Scenario, omega, k_x, channel: Channel,
-                 evanescent_drive: bool = False,
-                 beta_ref: complex | None = None):
-    """Channel coefficient t or r at (omega, k_x), elementwise.
+def _coefficient(scenario: Scenario, alpha, beta, channel: Channel,
+                 beta_ref: complex = 0.0):
+    """Channel coefficient t or r at the normal wavenumbers, elementwise.
 
-    With ``beta_ref``, transmission is divided by e^{i beta_ref d}: it is
-    formed as e^{i(beta - beta_ref) d}/den, which stays bounded near
-    beta_ref where e^{i beta d} itself underflows.
+    Transmission is alpha_hat e^{i(beta - beta_ref) d}/den, divided by
+    e^{i beta_ref d} so that it stays bounded where e^{i beta d} underflows;
+    without a gap it is 1, which alpha_hat/den gives only to rounding.
     """
+    if scenario.d == 0 and channel is Channel.TRANSMISSION:
+        return np.ones(np.shape(alpha), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, beta, prop, den, r_num = _transfer(scenario, omega, k_x,
-                                              evanescent_drive)
+        alpha_hat, den, r_num = _transfer(scenario, alpha, beta)
         if channel is Channel.REFLECTION:
             return r_num / den
-        if beta_ref is None:
-            return prop / den
-        return np.exp(1j * (beta - beta_ref) * scenario.d) / den
+        return alpha_hat * np.exp(1j * scenario.d * (beta - beta_ref)) / den
 
 
 def _peak_time(t: np.ndarray, dt: float, env: np.ndarray) -> float:
@@ -333,10 +326,10 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
     dt = _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
-    w0 = 2 * math.pi * pulse.carrier
-    # on the fixed-angle drive beta is proportional to omega
-    beta0 = w0 / scenario.c * cmath.sqrt(
-        1 - (scenario.n * math.sin(scenario.theta)) ** 2)
+    # on the fixed-angle drive alpha and beta are proportional to omega
+    w0 = scenario.omega
+    _, alpha0, beta0_sq = _carrier(scenario)
+    beta0 = cmath.sqrt(beta0_sq)
 
     def coefficient(omegas):
         if channel is Channel.TRANSMISSION:
@@ -348,8 +341,9 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
                     "gap too wide for the pulse synthesis: transmission "
                     f"varies by e^{growth:.3g} across the pulse band, past "
                     "double range")
-        return _coefficient(scenario, omegas, _lateral_slowness(scenario)
-                            * omegas, channel, beta_ref=beta0)
+        scale = omegas / w0
+        return _coefficient(scenario, alpha0 * scale, beta0 * scale, channel,
+                            beta_ref=beta0)
 
     analytic_out = _analytic(pulse, len(t), dt, coefficient)
     analytic_in = _analytic(pulse, len(t), dt)
@@ -436,7 +430,7 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     kx = wavevectors(scenario).k_x
     env = np.abs(_analytic(
         pulse, n, _step(pulse, dt_factor), lambda w: _coefficient(
-            scenario, w, kx, Channel.TRANSMISSION, evanescent_drive=True)))
+            scenario, *_normal_wavenumbers(scenario, w, kx), Channel.TRANSMISSION)))
     return float(env[:k].max() / env.max())
 
 
@@ -489,7 +483,8 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
         )
 
     coef = np.zeros(n_points, dtype=complex)
-    coef[launchable] = _coefficient(scenario, omega, kx[launchable], channel)
+    coef[launchable] = _coefficient(
+        scenario, *_normal_wavenumbers(scenario, omega, kx[launchable]), channel)
 
     field_out = np.fft.fftshift(np.fft.ifft(spectrum * coef))
     field_ref = np.fft.fftshift(np.fft.ifft(np.where(launchable, spectrum, 0.0)))

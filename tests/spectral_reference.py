@@ -5,9 +5,10 @@ closed-form DFT on every bin), the channel coefficient on the
 positive-frequency bins, and an inverse FFT per analytic signal.  The
 coefficient comes from the public ``scatter``, or for the fixed-k_x drive,
 whose k_x lies past the prism cone that ``scatter`` admits, from
-``_transfer`` as t = e^{i phi}/den and r = r_num/den.  ``evanesce.wavesynth`` does the same filtering on the
-band of bins where the spectrum is nonzero, with one closed-form
-coefficient; the tests compare the two.
+``_transfer`` as t = alpha_hat e^{i beta d}/den and r = r_num/den.
+``evanesce.wavesynth`` does the same filtering on the band of bins where
+the spectrum is nonzero, with one closed-form coefficient; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from evanesce import Channel, PulseSpec, Scenario, scatter, wavevectors
-from evanesce.scattering import _transfer
+from evanesce.scattering import _normal_wavenumbers, _transfer
 
 
 def gaussian_spectrum(pulse: PulseSpec, n: int, dt: float) -> np.ndarray:
@@ -57,10 +58,12 @@ def filtered_analytic(values: np.ndarray, dt: float, scenario: Scenario,
     pos = omegas > 0
     one_sided = np.where(pos, 2.0 * spectrum, 0.0)
     if fixed_kx:
-        kx = np.full(pos.sum(), wavevectors(scenario).k_x)
+        alpha, beta = _normal_wavenumbers(scenario, omegas[pos],
+                                          wavevectors(scenario).k_x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, _, prop, den, r_num = _transfer(scenario, omegas[pos], kx, True)
-            t, r = prop / den, r_num / den
+            alpha_hat, den, r_num = _transfer(scenario, alpha, beta)
+            t = alpha_hat * np.exp(1j * beta * scenario.d) / den
+            r = r_num / den
     else:
         slope = scenario.n * math.sin(scenario.theta) / scenario.c
         res = scatter(scenario, omegas[pos], slope * omegas[pos])

@@ -135,6 +135,16 @@ class TestScenario:
             with pytest.raises(ValueError):
                 Scenario(**{**good, field: bad})
 
+    def test_subnormal_gap_rejected(self):
+        # a subnormal width carries too few significant bits: the bound is
+        # the smallest normal double, in metres
+        good = dict(n=1.6, f=9.15e9, theta=0.7)
+        for d in (0.0, sys.float_info.min, 1e-303):
+            assert Scenario(**good, d=d).d == d
+        for d in (1e-310, 5e-324, math.nextafter(sys.float_info.min, 0.0)):
+            with pytest.raises(ValueError, match="gap width must be 0 or >="):
+                Scenario(**good, d=d)
+
     def test_tunneling_flag(self):
         assert Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.04).is_tunneling
         assert not Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.04).is_tunneling

@@ -14,6 +14,7 @@ from evanesce import (
     scatter,
     shift_implied_by_delay, total_group_delay, vacuum_wavelength, wavevectors,
 )
+from evanesce.scattering import _transfer
 from conftest import random_scenario
 
 GAMMA = lambda s: s.n * math.sin(s.theta) / s.c
@@ -104,19 +105,25 @@ class TestReflectionPhase:
     def test_light_line_limit(self):
         # at k_x = omega/c the gap wavenumber is 0 and q is infinite; the
         # limit e^{i phi} sin(phi)/beta -> d gives 4 den = 4 - 2i alpha_hat d,
-        # t = 4/(4 den) and r = -2i alpha_hat d/(4 den)
+        # t = 4/(4 den) and r = -2i alpha_hat d/(4 den).  The kernel takes
+        # beta = 0 itself.  The float k_x below misses omega/c by up to half
+        # an ulp, where the exact beta is 9.3e-7i /m: scatter's beta is 0
+        # there to sqrt(eps) k0, and its t and r are the limit to 1e-12.
         for pol in (Polarization.TE, Polarization.TM):
             s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.04,
                          polarization=pol)
             k_x = 2 * math.pi * 9.15e9 / 3e8
-            res = scatter(s, s.omega, k_x)
-            assert res.k_z_gap == 0
             alpha = math.sqrt((s.n * s.omega / s.c) ** 2 - k_x ** 2)
             alpha_hat = alpha / (s.n ** 2 if pol is Polarization.TM else 1.0)
             four_den = 4 - 2j * alpha_hat * s.d
-            assert res.t == pytest.approx(4 / four_den, rel=1e-12)
-            assert res.r == pytest.approx(-2j * alpha_hat * s.d / four_den,
-                                          rel=1e-12)
+            t, r = 4 / four_den, -2j * alpha_hat * s.d / four_den
+            got_alpha_hat, den, r_num = _transfer(s, alpha, 0.0)
+            assert got_alpha_hat / den == pytest.approx(t, rel=1e-15)
+            assert r_num / den == pytest.approx(r, rel=1e-15)
+            res = scatter(s, s.omega, k_x)
+            assert abs(res.k_z_gap) < 1e-8 * s.omega / s.c
+            assert res.t == pytest.approx(t, rel=1e-12)
+            assert res.r == pytest.approx(r, rel=1e-12)
 
     def test_transmission_reflection_quadrature(self, headline):
         # in the evanescent regime the two coefficients differ by a rigid
@@ -237,6 +244,11 @@ class TestHartman:
             hartman_sweep(headline, [2e-3, 1e-3])
         with pytest.raises(ValueError):
             hartman_sweep(headline, [-1e-3, 1e-3])
+        # the smallest gap a Scenario admits bounds the sweep too
+        with pytest.raises(ValueError, match="at least"):
+            hartman_sweep(headline, [1e-313, 1e-308])
+        assert hartman_sweep(headline, [sys.float_info.min, 1e-307]) \
+            .group_delay[0] > 0
 
     def test_sweep_error_names_offending_point(self):
         below = Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.04)

@@ -11,7 +11,7 @@ from evanesce import (
     goos_hanchen_shift, scatter, stored_energy, total_group_delay, train_model,
     wavevectors,
 )
-from evanesce.energy import integrated_density
+from evanesce.energy import incident_flux, integrated_density
 from conftest import random_scenario
 
 
@@ -109,8 +109,24 @@ class TestStoredEnergy:
         assert budget.dwell_time == 0.0
 
     def test_dwell_identity(self, headline):
+        # per-area energy over flux, which stored / incident_power equals
+        # but for the rounding of the shift s that scales both
         budget = stored_energy(headline)
-        assert budget.dwell_time == budget.stored / budget.incident_power
+        assert budget.dwell_time \
+            == integrated_density(headline) / incident_flux(headline)
+        assert budget.dwell_time == pytest.approx(
+            budget.stored / budget.incident_power, rel=1e-15)
+
+    def test_dwell_survives_underflow_of_stored(self, headline):
+        # at 1e-300 mm the stored energy (per-area energy times s, both
+        # ~1e-300) underflows to 0.0; the dwell time does not involve s
+        s = replace(headline, d=1e-303)
+        budget = stored_energy(s)
+        assert budget.stored == 0.0
+        assert budget.dwell_time * 1e12 == pytest.approx(5.24438e-300, rel=1e-6)
+        # linear in d while kappa d << 1 (1e-7 at a nanometre)
+        thin = stored_energy(replace(headline, d=1e-9)).dwell_time
+        assert budget.dwell_time == pytest.approx(thin * 1e-294, rel=1e-6)
 
     def test_quadrature_against_closed_form(self, headline):
         # oracle: the z-integral has a closed form in the two amplitudes

@@ -10,7 +10,7 @@ from evanesce import (
     Polarization, Scenario, approx_transmission, attenuation_db_per_mm,
     gap_attenuation_db, RegimeError, scatter, wavevectors,
 )
-from evanesce.scattering import _matching_constants, _transfer
+from evanesce.scattering import _normal_wavenumbers, _transfer
 from conftest import random_scenario
 
 
@@ -226,25 +226,24 @@ class TestScalarArrayParity:
             scatter(headline, headline.omega, 1.01 * headline.n * headline.omega / headline.c)
 
 
-def inline_scatter(scenario, omega, k_x, evanescent_drive=False):
-    """``scatter``'s closed form written out in one function, in its
-    operation order, as the bitwise reference for the shared kernel."""
-    omega_a = np.asarray(omega, dtype=float)
-    kx_a = np.asarray(k_x, dtype=float)
-    alpha_hat, beta = _matching_constants(scenario, omega_a, kx_a,
-                                          evanescent_drive)
+def inline_scatter(scenario, alpha, beta):
+    """``scatter``'s closed form at the normal wavenumbers (alpha, beta),
+    written out in one function in its operation order, as the bitwise
+    reference for the shared kernel."""
+    tm = scenario.polarization is Polarization.TM
+    alpha_hat = alpha / scenario.n ** 2 if tm else alpha
     d = scenario.d
     phi = beta * d
-    prop = np.exp(1j * phi)
-    e_sin = np.expm1(2j * phi) / 2j
-    small = np.abs(phi) < 1e-8
-    beta_safe = np.where(small, 1.0, beta)
-    e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_term = alpha_hat * e_sin_over_beta
-        b_term = beta * e_sin / alpha_hat
-        den = 1 + 1j * e_sin - 0.5j * (a_term + b_term)
-        t = prop / den
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e_sin = np.expm1(2j * phi) / 2j
+        small = np.abs(phi) < 1e-8
+        beta_safe = np.where(small, 1.0, beta)
+        e_sin_over_beta = np.where(small, d * (1 + 1j * phi), e_sin / beta_safe)
+        a_term = alpha_hat * alpha_hat * e_sin_over_beta
+        b_term = beta * e_sin
+        den = alpha_hat * (1 + 1j * e_sin) - 0.5j * (a_term + b_term)
+        prop = np.exp(1j * beta * d)
+        t = alpha_hat * prop / den if d else np.ones_like(den)
         r = -0.5j * (a_term - b_term) / den
         ratio = alpha_hat / beta
         c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
@@ -252,9 +251,18 @@ def inline_scatter(scenario, omega, k_x, evanescent_drive=False):
     return r, t, c_amp, d_amp, beta
 
 
+def carrier_wavenumbers(scenario):
+    """(alpha_0, beta_0) written out: (n omega/c) cos(theta), and the
+    principal root of (omega/c)^2 (1 - n^2 sin^2 theta)."""
+    k0 = scenario.omega / scenario.c
+    radicand = scenario.n * scenario.n * math.sin(scenario.theta) ** 2 - 1.0
+    return (scenario.n * scenario.omega / scenario.c * math.cos(scenario.theta),
+            cmath.sqrt(-(k0 * k0) * radicand))
+
+
 class TestSharedKernel:
     """``scatter`` and the spectral synthesis share ``_transfer``; its
-    five fields must keep every bit of the closed form."""
+    fields must keep every bit of the closed form."""
 
     @staticmethod
     def assert_bitwise(res, want):
@@ -270,11 +278,13 @@ class TestSharedKernel:
             s = random_scenario(rng, tunneling=bool(rng.random() < 0.7))
             omega = s.omega * rng.uniform(0.5, 2.0)
             kx = fixed_angle_kx(s, omega)
-            self.assert_bitwise(scatter(s, omega, kx),
-                                inline_scatter(s, omega, kx))
+            self.assert_bitwise(scatter(s, omega, kx), inline_scatter(
+                s, *_normal_wavenumbers(s, np.asarray(omega), np.asarray(kx))))
+            # the carrier: alpha_0 and beta_0 as they are, not re-formed
+            self.assert_bitwise(scatter(s),
+                                inline_scatter(s, *carrier_wavenumbers(s)))
         s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.0)
-        self.assert_bitwise(scatter(s), inline_scatter(s, s.omega,
-                                                       wavevectors(s).k_x))
+        self.assert_bitwise(scatter(s), inline_scatter(s, *carrier_wavenumbers(s)))
 
     def test_array_inputs(self):
         rng = np.random.default_rng(12)
@@ -282,18 +292,61 @@ class TestSharedKernel:
             s = random_scenario(rng, tunneling=bool(rng.random() < 0.7))
             omegas = s.omega * rng.uniform(0.5, 2.0, 257)
             slope = s.n * math.sin(s.theta) / s.c
-            self.assert_bitwise(scatter(s, omegas, slope * omegas),
-                                inline_scatter(s, omegas, slope * omegas))
+            self.assert_bitwise(scatter(s, omegas, slope * omegas), inline_scatter(
+                s, *_normal_wavenumbers(s, omegas, slope * omegas)))
             # the fixed-k_x drive of the synthesis reaches the kernel
             # directly: its k_x may lie past the prism cone
             kx = np.full_like(omegas, wavevectors(s).k_x)
+            alpha, beta = _normal_wavenumbers(s, omegas, kx)
             with np.errstate(divide="ignore", invalid="ignore"):
-                _, beta, prop, den, r_num = _transfer(s, omegas, kx, True)
-                got = (r_num / den, prop / den, beta)
-            r, t, _, _, k_z_gap = inline_scatter(s, omegas, kx,
-                                                 evanescent_drive=True)
+                alpha_hat, den, r_num = _transfer(s, alpha, beta)
+                got = (r_num / den,
+                       alpha_hat * np.exp(1j * beta * s.d) / den, beta)
+            r, t, _, _, k_z_gap = inline_scatter(s, alpha, beta)
             for g, w in zip(got, (r, t, k_z_gap)):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestPrismCutoff:
+    """At alpha = 0 the fixed-k_x drive meets the prism cutoff: the
+    closed form's limits there are t = 0 and r = -1 for any gap d > 0."""
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    @pytest.mark.parametrize("d", [1e-300, 1e-6, 0.04, 10.0])
+    def test_limits_at_alpha_zero(self, polarization, d):
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=d,
+                     polarization=polarization)
+        k0 = s.omega / s.c
+        beta = 1j * k0 * math.sqrt(s.n ** 2 - 1)  # k_x = n omega/c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha_hat, den, r_num = _transfer(s, 0.0, beta)
+            assert alpha_hat * cmath.exp(1j * beta * d) / den == 0
+            # to the rounding of one complex division
+            assert abs(r_num / den + 1) <= 2.0 ** -52
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_limits_are_continuous(self, polarization):
+        # alpha -> 0 from either side of the cutoff tends to the limits
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.001,
+                     polarization=polarization)
+        k0 = s.omega / s.c
+        beta = 1j * k0 * math.sqrt(s.n ** 2 - 1)
+        for alpha in (1e-9 * k0, 1e-9j * k0):
+            alpha_hat, den, r_num = _transfer(s, alpha, beta)
+            assert abs(alpha_hat * cmath.exp(1j * beta * s.d) / den) < 1e-8
+            assert abs(r_num / den + 1) < 1e-8
+
+    def test_fixed_kx_drive_on_the_cutoff_bin(self):
+        # n sin(theta) = 1.1 at n = 2.2, 30 deg: the fixed-k_x cutoff
+        # omega_0 sin(theta) = omega_0/2 lands exactly on alpha = 0
+        s = Scenario(n=2.2, f=9.15e9, theta=math.radians(30), d=0.04)
+        omega = np.array([0.5 * s.omega])
+        alpha, beta = _normal_wavenumbers(s, omega, wavevectors(s).k_x)
+        assert alpha[0] == 0
+        alpha_hat, den, r_num = _transfer(s, alpha, beta)
+        assert (alpha_hat * np.exp(1j * beta * s.d) / den)[0] == 0
+        assert abs((r_num / den)[0] + 1) <= 2.0 ** -52
 
 
 class TestTransmissionNumbers:
