@@ -51,6 +51,7 @@ _PLAIN = [
     ["hartman", "--polarization", "TM"],
     ["hartman", "--out", "{out}"],
     ["hartman", "--d-steps", "1000"],
+    ["hartman", "--d-steps", "1000000000000000000000000"],
     ["hartman", "--polarization", "TM", "--d-min-mm", "1", "--d-max-mm", "900",
      "--d-steps", "1000"],
     ["hartman", "--n", "2.1", "--theta-deg", "60", "--f-ghz", "20"],
@@ -74,6 +75,8 @@ _PLAIN = [
     ["pulse", "--d-mm", "10", "--with-version"],
     ["pulse", "--fwhm-ns", "1"],
     ["pulse", "--fwhm-ns", "1e12"],
+    ["pulse", "--fwhm-ns", "1e200"],
+    ["pulse", "--fwhm-ns", "1e308"],
     ["pulse", "--d-mm", "400"],
     ["pulse", "--d-mm", "1000", "--polarization", "TM"],
     ["pulse", "--d-mm", "5000"],
@@ -100,18 +103,24 @@ _PLAIN = [
     ["energy", "--d-mm", "10000"],
     ["energy", "--d-mm", "1e300"],
     ["energy", "--train-first-car", "16", "--train-cars", "5"],
+    ["energy", "--train-first-car", "1", "--train-cars", "5"],
     ["energy", "--theta-deg", "30"],
     ["energy", "--theta-deg", "89.999999"],
     ["energy", "--d-mm", "1e-300"],
+    ["energy", "--polarization", "TM", "--d-mm", "1e-300"],
+    ["energy", "--d-mm", "1e-4"],
+    ["energy", "--polarization", "TM", "--d-mm", "1e-4"],
     ["causality"],
     ["causality", "--polarization", "TM"],
     ["causality", "--fwhm-ns", "1e12"],
+    ["causality", "--fwhm-ns", "1e300"],
     ["causality", "--theta-deg", "30"],
     ["causality", "--d-mm", "290000"],
     ["causality", "--d-mm", "400"],
     ["causality", "--polarization", "TM", "--d-mm", "10"],
     ["causality", "--f-ghz", "20", "--n", "2.2", "--theta-deg", "70"],
     ["causality", "--rise-ns", "0.3", "--front-sigmas", "5"],
+    ["causality", "--front-sigmas", "100"],
     ["causality", "--n", "1.6", "--f-ghz", "13.6", "--theta-deg", "89.9999999",
      "--d-mm", "0.2"],
     ["causality", "--n", "2.2", "--theta-deg", "30"],
