@@ -9,8 +9,10 @@ of a fresh interpreter shows them, but without the file path, so the
 corpus does not depend on where the package is installed.
 
 ``tests/test_golden.py`` replays the corpus.  A change that moves output
-bytes regenerates it and names the moved bytes in its change log:
+bytes lists them first, one line per moved field of each moved case, and
+then regenerates the corpus and names the moved bytes in its change log:
 
+    PYTHONPATH=src python tests/golden_corpus.py --diff
     PYTHONPATH=src python tests/golden_corpus.py
 
 FFT-derived values depend on numpy's FFT and SIMD paths, so the corpus
@@ -186,7 +188,56 @@ def generate() -> dict:
     return {"numpy": np.__version__, "cases": cases}
 
 
+def case_id(argv: list[str], config=None) -> str:
+    """The case as one line: its argv, then its config as JSON if any."""
+    return " ".join(argv) + ("" if config is None else f" {json.dumps(config)}")
+
+
+def _first_moved(old: list, new: list) -> str:
+    """The first line where two recorded line lists differ, as old -> new."""
+    for i in range(max(len(old), len(new))):
+        a = old[i] if i < len(old) else None
+        b = new[i] if i < len(new) else None
+        if a != b:
+            return f"line {i + 1}: {a!r} -> {b!r}"
+    return "unchanged"
+
+
+def diff() -> list[str]:
+    """Replay every case against the recorded corpus without rewriting it:
+    for each case whose exit code, stdout, stderr or ``--out`` hash moved,
+    the case and the first moved line of each moved field."""
+    data = json.loads(CORPUS.read_text(encoding="utf-8"))
+    recorded = {case_id(c["argv"], c.get("config")): c for c in data["cases"]}
+    report = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv, config in CASES:
+            name = case_id(argv, config)
+            if name not in recorded:
+                report.append(f"{name}\n  not in the corpus")
+                continue
+            old, new = recorded.pop(name), replay(argv, workdir, config)
+            moved = [name] + [
+                f"  {field}: {old.get(field)!r} -> {new.get(field)!r}"
+                for field in ("exit", "out_sha256") if old.get(field) != new.get(field)
+            ] + [
+                f"  {field} {_first_moved(a, b)}" for field, a, b in (
+                    ("stdout", old["stdout"], new["stdout"]),
+                    ("stderr", old["stderr"].splitlines(keepends=True),
+                     new["stderr"].splitlines(keepends=True))) if a != b
+            ]
+            if len(moved) > 1:
+                report.append("\n".join(moved))
+    report.extend(f"{name}\n  recorded but no longer a case" for name in recorded)
+    return report
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        moved = diff()
+        sys.stdout.writelines(line + "\n" for line in moved)
+        sys.stdout.write(f"{len(moved)} of {len(CASES)} cases moved\n")
+        sys.exit(1 if moved else 0)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(generate(), indent=1, ensure_ascii=False) + "\n",
                       encoding="utf-8")

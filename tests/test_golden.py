@@ -6,14 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from golden_corpus import CASES, CORPUS, replay
+import golden_corpus
+from golden_corpus import CASES, CORPUS, case_id, replay
 
 CORPUS_DATA = json.loads(CORPUS.read_text(encoding="utf-8"))
-
-
-def case_id(case: dict) -> str:
-    argv = " ".join(case["argv"])
-    return argv if "config" not in case else f"{argv} {json.dumps(case['config'])}"
 
 
 def test_corpus_lists_every_case():
@@ -22,11 +18,29 @@ def test_corpus_lists_every_case():
 
 
 @pytest.mark.parametrize("case", CORPUS_DATA["cases"],
-                         ids=[case_id(c) for c in CORPUS_DATA["cases"]])
+                         ids=[case_id(c["argv"], c.get("config"))
+                              for c in CORPUS_DATA["cases"]])
 def test_replay_matches_corpus(case, tmp_path):
     expected = {k: v for k, v in case.items() if k not in ("argv", "config")}
     got = replay(case["argv"], str(tmp_path), case.get("config"))
     assert got == expected, (
         f"output moved; corpus from numpy {CORPUS_DATA['numpy']}, running "
-        f"{np.__version__}. If intended, regenerate with "
-        "`PYTHONPATH=src python tests/golden_corpus.py` and name the moved bytes")
+        f"{np.__version__}. `PYTHONPATH=src python tests/golden_corpus.py "
+        "--diff` lists the moved bytes; if intended, regenerate without "
+        "--diff and name them")
+
+
+def test_diff_names_each_moved_field(tmp_path, monkeypatch):
+    case = dict(CORPUS_DATA["cases"][0])
+    assert case["argv"] == ["attenuation"] and case["exit"] == 0
+    real_first = case["stdout"][0]
+    case.update(exit=3, stdout=["moved\n", *case["stdout"][1:]])
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+    monkeypatch.setattr(golden_corpus, "CORPUS", corpus)
+    monkeypatch.setattr(golden_corpus, "CASES", [(["attenuation"], None),
+                                                 (["energy"], None)])
+    assert golden_corpus.diff() == [
+        f"attenuation\n  exit: 3 -> 0\n  stdout line 1: 'moved\\n' -> {real_first!r}",
+        "energy\n  not in the corpus",
+    ]
