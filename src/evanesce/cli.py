@@ -140,8 +140,7 @@ def _with_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _json(payload: dict, args: argparse.Namespace) -> str:
     """The payload as RFC 8259 JSON, which has no NaN or Infinity: a
-    non-finite value raises ``ValueError`` (exit 2), so it is formed before
-    anything is written, ``--out`` included."""
+    non-finite value raises ``ValueError`` (exit 2)."""
     if args.with_version:
         payload = {"version": __version__, **payload}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -159,6 +158,18 @@ def _write_csv(text: str, args: argparse.Namespace) -> None:
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _emit_with_out(payload: dict, args: argparse.Namespace,
+                   columns: tuple[str, str], arrays) -> int:
+    """Write ``payload`` as JSON to stdout and ``arrays`` as CSV to
+    ``--out`` if given.  The JSON is formed and checked first, then the
+    file written, then stdout, so a run that fails writes nothing."""
+    text = _json(payload, args)
+    if args.out is not None:
+        _write_csv(to_csv(columns, arrays, "%r"), args)
+    sys.stdout.write(text)
+    return 0
 
 
 def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
@@ -211,7 +222,7 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
     pulse = PulseSpec(fwhm=args.fwhm_ns * 1e-9, carrier=scenario.f)
     series, report = propagate_pulse(scenario, pulse, Channel(args.channel))
     ratio = quasi_static_ratio(scenario, pulse)
-    text = _json({
+    return _emit_with_out({
         "channel": series.channel.value,
         "fwhm_ns": report.fwhm * 1e9,
         "peak_delay_ps": report.peak_time * 1e12,
@@ -221,12 +232,7 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
         "spatial_extent_m": pulse_spatial_extent(pulse, scenario.c),
         "quasi_static_ratio": ratio if scenario.d > 0 else None,
         "quasi_static": ratio > 10,
-    }, args)
-    if args.out is not None:
-        _write_csv(to_csv(("t_ns", "field"),
-                          (series.t_samples * 1e9, series.values), "%r"), args)
-    sys.stdout.write(text)
-    return 0
+    }, args, ("t_ns", "field"), (series.t_samples * 1e9, series.values))
 
 
 def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
@@ -234,18 +240,13 @@ def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
     beam = BeamSpec(waist=args.waist_wavelengths * lam)
     channel = Channel(args.channel)
     profile = beam_centroid_shift(scenario, beam, channel)
-    text = _json({
+    return _emit_with_out({
         "channel": channel.value,
         "waist_wavelengths": args.waist_wavelengths,
         "centroid_cm": profile.centroid * 100,
         "centroid_shift_cm": profile.centroid_shift * 100,
         "gh_shift_cm": goos_hanchen_shift(scenario, channel) * 100,
-    }, args)
-    if args.out is not None:
-        _write_csv(to_csv(("x_cm", "intensity"),
-                          (profile.x_samples * 100, profile.intensity), "%r"), args)
-    sys.stdout.write(text)
-    return 0
+    }, args, ("x_cm", "intensity"), (profile.x_samples * 100, profile.intensity))
 
 
 def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:

@@ -107,13 +107,14 @@ class Wavevectors:
     """Propagation constants of a scenario at its carrier.
 
     ``kappa`` is the gap decay constant in the evanescent regime and 0
-    otherwise; below the critical angle the gap carries a real normal
-    wavenumber instead, reported with the scattering result.
+    otherwise; below the critical angle the gap carries the real normal
+    wavenumber sqrt(``k_z_gap_sq``) instead.
     """
 
-    k_x: float        # 1/m, interface-parallel (conserved)
-    k_z_prism: float  # 1/m, normal component inside the prism
-    kappa: float      # 1/m, evanescent decay constant (0 when propagating)
+    k_x: float         # 1/m, interface-parallel (conserved)
+    k_z_prism: float   # 1/m, normal component inside the prism
+    kappa: float       # 1/m, evanescent decay constant (0 when propagating)
+    k_z_gap_sq: float  # 1/m^2, (omega/c)^2 (1 - n^2 sin^2 theta)
 
 
 @dataclass(frozen=True)
@@ -190,12 +191,21 @@ def wavevectors(scenario: Scenario) -> Wavevectors:
 
     ``kappa`` follows the attenuation-constant formula
     (omega/c) sqrt(n^2 sin^2(theta) - 1) in the evanescent regime and is 0
-    below the critical angle.
+    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times the
+    same radicand, not (omega/c)^2 - k_x^2, which cancels near grazing.
     """
     n, th, c, omega = scenario.n, scenario.theta, scenario.c, scenario.omega
-    k_prism = n * omega / c
-    k_x = k_prism * math.sin(th)
-    k_z = k_prism * math.cos(th)
+    k_prism, k0 = n * omega / c, omega / c
     radicand = n * n * math.sin(th) ** 2 - 1.0
-    kappa = (omega / c) * math.sqrt(radicand) if radicand > 0 else 0.0
-    return Wavevectors(k_x=k_x, k_z_prism=k_z, kappa=kappa)
+    return Wavevectors(
+        k_x=k_prism * math.sin(th), k_z_prism=k_prism * math.cos(th),
+        kappa=k0 * math.sqrt(radicand) if radicand > 0 else 0.0,
+        k_z_gap_sq=-(k0 * k0) * radicand)
+
+
+def _tm_weighted(scenario: Scenario, value):
+    """``value``/n^2 for TM, ``value`` for TE: the 1/eps weight of the
+    prism's normal wavenumber in the H_y matching and of the TM flux."""
+    if scenario.polarization is Polarization.TM:
+        return value / scenario.n ** 2
+    return value

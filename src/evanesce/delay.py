@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _MIN_GAP, Polarization, Scenario, wavevectors
+from .core import _MIN_GAP, Scenario, _tm_weighted, wavevectors
 
 
 class Channel(str, Enum):
@@ -88,8 +88,7 @@ def _delays(scenario: Scenario, d: np.ndarray):
     shared by both channels.  Evanescent regime only: callers check it."""
     wv = wavevectors(scenario)
     kappa, alpha, k_x = wv.kappa, wv.k_z_prism, wv.k_x
-    tm = scenario.polarization is Polarization.TM
-    alpha_hat = alpha / scenario.n ** 2 if tm else alpha
+    alpha_hat = _tm_weighted(scenario, alpha)
     # beta = i kappa: q and p = alpha_hat/beta - beta/alpha_hat are
     # imaginary and E = e^{-2 kappa d} is real
     q = 1j * (kappa / alpha_hat - alpha_hat / kappa)
@@ -106,17 +105,6 @@ def _delays(scenario: Scenario, d: np.ndarray):
     return tau0, shift
 
 
-def phase_delay(scenario: Scenario,
-                channel: Channel = Channel.TRANSMISSION) -> float:
-    """Fixed-angle frequency derivative of the channel phase [s] (tau_0).
-
-    Evaluated along the physical dispersion path of a pulse at constant
-    incidence angle, so k_x tracks omega.  Decays rapidly with gap width;
-    it is not a traversal time.
-    """
-    return total_group_delay(scenario, channel).phase_delay
-
-
 def goos_hanchen_shift(scenario: Scenario,
                        channel: Channel = Channel.TRANSMISSION) -> float:
     """Lateral beam shift s = -d(phase)/d(k_x) at fixed omega [m]."""
@@ -125,16 +113,19 @@ def goos_hanchen_shift(scenario: Scenario,
 
 def total_group_delay(scenario: Scenario,
                       channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
-    """Assemble tau_g = tau_0 + s * n sin(theta)/c for one channel."""
+    """``hartman_sweep`` at the scenario's gap width, as floats; closed
+    prisms give +0.0 for each term of transmission.
+
+    ``phase_delay`` (tau_0) is taken at fixed angle, k_x tracking omega as
+    for a pulse: it decays rapidly with gap width, not a traversal time.
+    """
     scenario.require_tunneling()
     if scenario.d == 0 and channel is Channel.TRANSMISSION:
         return DelayBreakdown(0.0, 0.0, 0.0)
     _require_live(scenario, channel)
-    # one-element array: the same arithmetic as a sweep, to the last bit
-    tau0, shift = (float(v[0])
-                   for v in _delays(scenario, np.array([scenario.d])))
-    tau_g = tau0 + shift * _lateral_slowness(scenario)
-    return DelayBreakdown(tau0, shift, tau_g)
+    sweep = hartman_sweep(scenario, [scenario.d])
+    return DelayBreakdown(*(float(v[0]) for v in (
+        sweep.phase_delay, sweep.gh_shift, sweep.group_delay)))
 
 
 def delay_implied_by_shift(scenario: Scenario, shift: float) -> float:

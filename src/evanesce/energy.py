@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polarization, Scenario, wavevectors
+from .core import Scenario, _tm_weighted, wavevectors
 from .delay import Channel, goos_hanchen_shift
 from .scattering import ScatterResult, scatter
 
@@ -79,8 +79,8 @@ def _field_integrals(res: ScatterResult, d: float) -> tuple[float, float]:
 def incident_flux(scenario: Scenario) -> float:
     """Normal component of the incident time-averaged flux at the carrier,
     normalized."""
-    flux = scenario.c ** 2 * wavevectors(scenario).k_z_prism / (2 * scenario.omega)
-    return flux / scenario.n ** 2 if scenario.polarization is Polarization.TM else flux
+    return _tm_weighted(scenario, scenario.c ** 2 * wavevectors(scenario).k_z_prism
+                        / (2 * scenario.omega))
 
 
 def integrated_density(scenario: Scenario) -> float:
@@ -91,8 +91,6 @@ def integrated_density(scenario: Scenario) -> float:
     evanescent regime at any gap width.
     """
     scenario.require_tunneling()
-    if scenario.d == 0:
-        return 0.0
     field_sq, slope_sq = _field_integrals(scatter(scenario), scenario.d)
     w_field, w_slope = _density_weights(scenario)
     return w_field * field_sq + w_slope * slope_sq
@@ -106,8 +104,6 @@ def stored_energy(scenario: Scenario) -> EnergyBudget:
     time is area-normalized stored energy over incident flux.
     """
     scenario.require_tunneling()
-    if scenario.d == 0:
-        return EnergyBudget(stored=0.0, incident_power=0.0, dwell_time=0.0)
     per_area = integrated_density(scenario)
     shift = goos_hanchen_shift(scenario, Channel.TRANSMISSION)
     flux = incident_flux(scenario)

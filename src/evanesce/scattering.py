@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polarization, Scenario, wavevectors
+from .core import Scenario, _tm_weighted, wavevectors
+from .delay import Channel
 
 
 @dataclass(frozen=True)
@@ -48,31 +49,23 @@ class ScatterResult:
     k_z_gap: complex
 
 
-def _carrier(scenario: Scenario) -> tuple[float, float, float]:
-    """(k_x0, alpha_0, beta_0^2) at the carrier, beta_0^2 from kappa's radicand."""
-    wv, k0 = wavevectors(scenario), scenario.omega / scenario.c
-    radicand = scenario.n * scenario.n * math.sin(scenario.theta) ** 2 - 1.0
-    return wv.k_x, wv.k_z_prism, -(k0 * k0) * radicand
-
-
 def _normal_wavenumbers(scenario: Scenario, omega, k_x):
     """(alpha, beta) at (omega, k_x), elementwise: the carrier's squares
     less (k_x - k_x0)(k_x + k_x0), first as it is 0 on the fixed-k_x drive,
     plus n^2 (omega - omega_0)(omega + omega_0)/c^2, without n^2 for beta."""
-    w0, c = scenario.omega, scenario.c
-    kx0, alpha0, beta0_sq = _carrier(scenario)
+    w0, c, wv = scenario.omega, scenario.c, wavevectors(scenario)
+    alpha0, kx0 = wv.k_z_prism, wv.k_x
     d_omega = (omega - w0) * (omega + w0) / (c * c)
     d_kx = (k_x - kx0) * (k_x + kx0)
     return (np.sqrt(alpha0 * alpha0 - d_kx + scenario.n ** 2 * d_omega + 0j),
-            np.sqrt(beta0_sq - d_kx + d_omega + 0j))
+            np.sqrt(wv.k_z_gap_sq - d_kx + d_omega + 0j))
 
 
 def _transfer(scenario: Scenario, alpha, beta):
     """(alpha_hat, den, r_num): t = alpha_hat e^{i beta d}/den and
     r = r_num/den, so that at the prism cutoff alpha = 0 (d > 0) they take
     their limits 0 and -1.  Callers set ``np.errstate`` (it divides by beta)."""
-    alpha_hat = (alpha / scenario.n ** 2
-                 if scenario.polarization is Polarization.TM else alpha)
+    alpha_hat = _tm_weighted(scenario, alpha)
     d = scenario.d
     phi = beta * d
 
@@ -95,6 +88,32 @@ def _transfer(scenario: Scenario, alpha, beta):
     return alpha_hat, den, -0.5j * (a_term - b_term)
 
 
+def _from_transfer(scenario: Scenario, transfer, beta, channel: Channel,
+                   beta_ref: complex = 0.0):
+    """Channel coefficient t or r from ``_transfer``'s terms at ``beta``.
+
+    Reflection is r_num/den.  Transmission is alpha_hat e^{i(beta -
+    beta_ref) d}/den, divided by e^{i beta_ref d} so that it stays bounded
+    where e^{i beta d} underflows; without a gap it is 1, which
+    alpha_hat/den gives only to rounding.  Callers set ``np.errstate``.
+    """
+    alpha_hat, den, r_num = transfer
+    if channel is Channel.REFLECTION:
+        return r_num / den
+    if scenario.d == 0:
+        return np.ones_like(den)
+    return alpha_hat * np.exp(1j * scenario.d * (beta - beta_ref)) / den
+
+
+def _coefficient(scenario: Scenario, alpha, beta, channel: Channel,
+                 beta_ref: complex = 0.0):
+    """Channel coefficient t or r at the normal wavenumbers, elementwise:
+    ``_from_transfer`` of one ``_transfer``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _from_transfer(scenario, _transfer(scenario, alpha, beta), beta,
+                              channel, beta_ref)
+
+
 def scatter(scenario: Scenario, omega: float | None = None,
             k_x: float | None = None) -> ScatterResult:
     """Solve the two-interface problem at (omega, k_x).
@@ -114,8 +133,8 @@ def scatter(scenario: Scenario, omega: float | None = None,
         raise ValueError("give omega and k_x together, or neither")
     scalar = np.ndim(omega) == 0 and np.ndim(k_x) == 0
     if omega is None:
-        _, alpha, beta_sq = _carrier(scenario)
-        beta = cmath.sqrt(beta_sq)
+        wv = wavevectors(scenario)
+        alpha, beta = wv.k_z_prism, cmath.sqrt(wv.k_z_gap_sq)
     else:
         omega, k_x = np.asarray(omega, dtype=float), np.asarray(k_x, dtype=float)
         if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(k_x))):
@@ -134,14 +153,12 @@ def scatter(scenario: Scenario, omega: float | None = None,
     # a difference cancelling to rounding noise.  Exactly at the critical
     # angle both diverge (r and t do not): that point gives inf/nan amplitudes.
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha_hat, den, r_num = _transfer(scenario, alpha, beta)
-        prop = np.exp(1j * beta * scenario.d)
-        # without a gap t = 1, which alpha_hat/den gives only to rounding
-        t = alpha_hat * prop / den if scenario.d else np.ones_like(den)
-        r = r_num / den
-        ratio = alpha_hat / beta
+        transfer = _transfer(scenario, alpha, beta)
+        t = _from_transfer(scenario, transfer, beta, Channel.TRANSMISSION)
+        r = _from_transfer(scenario, transfer, beta, Channel.REFLECTION)
+        ratio = transfer[0] / beta
         c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
-        d_amp = 0.5 * t * (1 - ratio) * prop
+        d_amp = 0.5 * t * (1 - ratio) * np.exp(1j * beta * scenario.d)
 
     if scalar:
         return ScatterResult(

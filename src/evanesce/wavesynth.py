@@ -41,8 +41,8 @@ turn-on: the field is identically zero before front_time, which is what
 defines a front, while the spectrum stays tame enough that the synthesis
 floor sits far below any leakage tolerance of interest.
 
-One routine, ``_coefficient``, gives every drive its t or r, the pulse
-and the front check in blocks of ``_BLOCK`` bins, each block's conjugate
+One routine, ``scattering._coefficient``, gives every drive its t or r
+by the rule ``scatter`` applies, the pulse and the front check in blocks of ``_BLOCK`` bins, each block's conjugate
 multiplied into the buffer (below) before the next is formed, so the
 per-bin work is sized for the cache.  Every operation is elementwise, so
 each bin gets the same bits as from one pass over all bins.
@@ -73,11 +73,11 @@ import numpy as np
 
 from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
 from .delay import Channel, _require_live
-from .scattering import _carrier, _normal_wavenumbers, _transfer
+from .scattering import _coefficient, _normal_wavenumbers
 
 
 # Bins per block of the channel coefficient: 128 KiB per complex temporary,
-# so the ~20 elementwise passes of ``_transfer`` stay in cache.
+# so the ~20 elementwise passes of ``scattering._transfer`` stay in cache.
 _BLOCK = 8192
 
 # exp(-t^2 / 2 sigma^2) underflows to exactly 0.0 past 38.61 sigma, so the
@@ -249,23 +249,6 @@ def _analytic(pulse: PulseSpec, n: int, dt: float,
     return np.fft.ifft(spectrum, out=spectrum)
 
 
-def _coefficient(scenario: Scenario, alpha, beta, channel: Channel,
-                 beta_ref: complex = 0.0):
-    """Channel coefficient t or r at the normal wavenumbers, elementwise.
-
-    Transmission is alpha_hat e^{i(beta - beta_ref) d}/den, divided by
-    e^{i beta_ref d} so that it stays bounded where e^{i beta d} underflows;
-    without a gap it is 1, which alpha_hat/den gives only to rounding.
-    """
-    if scenario.d == 0 and channel is Channel.TRANSMISSION:
-        return np.ones(np.shape(alpha), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha_hat, den, r_num = _transfer(scenario, alpha, beta)
-        if channel is Channel.REFLECTION:
-            return r_num / den
-        return alpha_hat * np.exp(1j * scenario.d * (beta - beta_ref)) / den
-
-
 def _peak_time(t: np.ndarray, dt: float, env: np.ndarray) -> float:
     i = int(np.argmax(env))
     if i == 0 or i == len(env) - 1:
@@ -327,9 +310,8 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     dt = _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
     # on the fixed-angle drive alpha and beta are proportional to omega
-    w0 = scenario.omega
-    _, alpha0, beta0_sq = _carrier(scenario)
-    beta0 = cmath.sqrt(beta0_sq)
+    w0, wv = scenario.omega, wavevectors(scenario)
+    alpha0, beta0 = wv.k_z_prism, cmath.sqrt(wv.k_z_gap_sq)
 
     def coefficient(omegas):
         if channel is Channel.TRANSMISSION:
@@ -388,11 +370,9 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec) -> float:
     reported as measured; the gapped pulse arrives later, so the value is
     negative in the evanescent regime, and its magnitude matches the
     fixed-angle phase-derivative delay at the carrier.
-    At d = 0, t = 1 exactly, so the closed-prism peak time is exactly 0.0
-    and only the gapped pulse is synthesized.
+    t = 1 exactly without a gap, so the closed-prism peak time is exactly
+    0.0 and only the gapped pulse is synthesized.
     """
-    if scenario.d == 0:
-        return 0.0
     t, dt, analytic_in, analytic_out, _ = _propagated(
         scenario, pulse, Channel.TRANSMISSION)
     gapped_peak = (_peak_time(t, dt, np.abs(analytic_out))

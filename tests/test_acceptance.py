@@ -16,7 +16,7 @@ from evanesce import (
     BeamSpec, Channel, PulseSpec, Scenario, approx_transmission,
     attenuation_db_per_mm, beam_centroid_shift, delay_implied_by_shift,
     front_causality_check, gap_attenuation_db, goos_hanchen_shift,
-    hartman_sweep, phase_delay, propagate_pulse, pulse_spatial_extent,
+    hartman_sweep, propagate_pulse, pulse_spatial_extent,
     scatter, shift_implied_by_delay, stored_energy, total_group_delay,
     train_model, vacuum_wavelength, wavevectors,
 )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from evanesce import Scenario, cli, phase_delay
+from evanesce import Scenario, cli, total_group_delay
 
 C = 3.0e8
 
@@ -210,8 +210,9 @@ class TestPulseWideGap:
         out, err = capsys.readouterr()
         assert err == ""
         payload = json.loads(out)
-        tau0 = phase_delay(Scenario(n=1.6, f=9.15e9, theta=math.radians(45.0),
-                                    d=d_mm * 1e-3, polarization=polarization))
+        tau0 = total_group_delay(Scenario(
+            n=1.6, f=9.15e9, theta=math.radians(45.0), d=d_mm * 1e-3,
+            polarization=polarization)).phase_delay
         assert payload["fwhm_ns"] == pytest.approx(16.0, rel=1e-6)
         assert payload["shape_correlation"] >= 1 - 1e-12
         assert abs(payload["peak_delay_ps"] - tau0 * 1e12) <= 1e-6

@@ -108,6 +108,15 @@ class TestStoredEnergy:
         assert budget.stored == 0.0
         assert budget.dwell_time == 0.0
 
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_zero_gap_is_positive_zero(self, headline, polarization):
+        # closed prisms take the general path: +0.0, sign included
+        s = replace(headline, d=0.0, polarization=polarization)
+        budget = stored_energy(s)
+        for value in (integrated_density(s), budget.stored,
+                      budget.incident_power, budget.dwell_time):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_dwell_identity(self, headline):
         # per-area energy over flux, which stored / incident_power equals
         # but for the rounding of the shift s that scales both

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from evanesce import (
-    Polarization, Scenario, approx_transmission, attenuation_db_per_mm,
+    Channel, Polarization, Scenario, approx_transmission, attenuation_db_per_mm,
     gap_attenuation_db, RegimeError, scatter, wavevectors,
 )
-from evanesce.scattering import _normal_wavenumbers, _transfer
+from evanesce.scattering import (
+    _coefficient, _from_transfer, _normal_wavenumbers, _transfer,
+)
 from conftest import random_scenario
 
 
@@ -305,6 +307,28 @@ class TestSharedKernel:
             r, t, _, _, k_z_gap = inline_scatter(s, alpha, beta)
             for g, w in zip(got, (r, t, k_z_gap)):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+    @pytest.mark.parametrize("d", [0.04, 0.0])
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_scatter_t_and_r_are_the_shared_rule(self, d, polarization):
+        # scatter's t and r are _from_transfer's on its one _transfer, and
+        # the syntheses' _coefficient gives the same bits; without a gap t
+        # is exactly 1
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=d,
+                     polarization=polarization)
+        alpha, beta = carrier_wavenumbers(s)
+        res = scatter(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            transfer = _transfer(s, alpha, beta)
+            shared = {channel: _from_transfer(s, transfer, beta, channel)
+                      for channel in Channel}
+        for channel, got in ((Channel.TRANSMISSION, res.t),
+                             (Channel.REFLECTION, res.r)):
+            for want in (shared[channel], _coefficient(s, alpha, beta, channel)):
+                assert (np.complex128(got).tobytes()
+                        == np.complex128(want).tobytes()), channel
+        assert (res.t == 1) == (d == 0)
 
 
 class TestPrismCutoff:
