@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    C_CODATA, C_VACUUM, PulseSpec, BeamSpec, Scenario, critical_angle,
-    pulse_spatial_extent, vacuum_wavelength, wavevectors,
+    C_CODATA, C_VACUUM, PulseSpec, BeamSpec, Scenario, _require_array_size,
+    critical_angle, pulse_spatial_extent, vacuum_wavelength, wavevectors,
 )
 from .delay import Channel, hartman_sweep, goos_hanchen_shift
 from .energy import (
@@ -199,6 +199,7 @@ def cmd_hartman(args: argparse.Namespace, scenario: Scenario) -> int:
         raise ConfigError("need at least 2 sweep points")
     # one array, sized before it is built: a step count too large for memory
     # fails at once with MemoryError
+    _require_array_size(args.d_steps, "gap widths")
     d = (args.d_min_mm + np.arange(args.d_steps, dtype=float)
          * (args.d_max_mm - args.d_min_mm) / (args.d_steps - 1)) * 1e-3
     bd = hartman_sweep(scenario, d)

@@ -19,9 +19,14 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 C_VACUUM = 3.0e8          # m/s, rounded value used for all headline numbers
 C_CODATA = 299_792_458.0  # m/s, exact SI value, selectable via Scenario.c
 _MIN_GAP = sys.float_info.min  # m, the smallest positive gap width
+# the most complex doubles numpy can size one array for; past it numpy
+# raises ValueError where a smaller impossible request raises MemoryError
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 16
 
 
 class Polarization(str, Enum):
@@ -31,6 +36,13 @@ class Polarization(str, Enum):
 
 class RegimeError(ValueError):
     """Raised when an operation requires the evanescent-gap regime."""
+
+
+def _require_array_size(count, what: str) -> None:
+    """Raise MemoryError unless ``count`` (inf included) is at most
+    ``_MAX_ELEMENTS``, before any array of that many ``what`` is built."""
+    if not count <= _MAX_ELEMENTS:
+        raise MemoryError(f"too many {what} for one array")
 
 
 def _require_finite(name: str, value: float) -> None:

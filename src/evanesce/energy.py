@@ -23,6 +23,7 @@ same point with halved car occupancies summing to less than 2N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,27 @@ def evanescent_vs_free_energy(scenario: Scenario) -> float:
     """Mean-square gap field relative to a constant-amplitude wave.
 
     Ratio of the stored field energy to that of a traveling plane wave
-    filling the same volume with the gap-entry amplitude.  It tends to 1 as
-    kappa*d -> 0 (uniform field) and falls below 1 once kappa*d is of order
-    one: the decaying profile stores less than the free wave would.
+    filling the same volume with the gap-entry amplitude.  It lies below 1
+    for every n, theta and polarization and tends to 1 as kappa*d -> 0
+    (uniform field): |F|^2 is convex in the gap (F'' = kappa^2 F) and flat
+    at the exit face, where the transmitted wave gives Re(F* F') = 0, so it
+    falls across the gap.  Flatness also gives |C e^{-kappa d}| =
+    |D e^{kappa d}|, hence 1 - ratio = 2 |C|^2 e^{-x} (cosh x - sinh(x)/x)
+    / |C + D|^2 with x = 2 kappa d.  Below x = 1e-3 the ratio is 1 less
+    that, the bracket taken as x^2/3 (1 + x^2/10): it cannot round above 1,
+    and it keeps the digits that the integrals cancel near the critical
+    angle.
     """
     scenario.require_tunneling()
     if scenario.d <= 0:
         raise ValueError("ratio needs a finite gap, got d=0")
     res = scatter(scenario)
-    field_sq, _ = _field_integrals(res, scenario.d)
     entry = abs(res.c_amp + res.d_amp) ** 2
+    x = 2 * res.k_z_gap.imag * scenario.d
+    if x < 1e-3:
+        return 1 - (2 * abs(res.c_amp) ** 2 * math.exp(-x)
+                    * (x * x / 3 * (1 + x * x / 10)) / entry)
+    field_sq, _ = _field_integrals(res, scenario.d)
     return field_sq / (entry * scenario.d)
 
 

@@ -71,7 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BeamSpec, PulseSpec, Scenario, vacuum_wavelength, wavevectors
+from .core import (
+    BeamSpec, PulseSpec, Scenario, _require_array_size, vacuum_wavelength,
+    wavevectors,
+)
 from .delay import Channel, _require_live
 from .scattering import _coefficient, _normal_wavenumbers
 
@@ -185,8 +188,10 @@ def time_grid(pulse: PulseSpec, dt_factor: int, span_factor: int) -> np.ndarray:
             f"dt_factor must be >= 8 (Nyquist margin 4x carrier), got {dt_factor}"
         )
     dt = _step(pulse, dt_factor)
-    n_req = int(math.ceil(span_factor * pulse.fwhm / dt))
-    return _grid(1 << (n_req - 1).bit_length(), dt)
+    n_req = span_factor * pulse.fwhm / dt
+    # the power of two at or above n_req is below 2 n_req
+    _require_array_size(2 * n_req, "samples")
+    return _grid(1 << (math.ceil(n_req) - 1).bit_length(), dt)
 
 
 def _grid(n: int, dt: float) -> np.ndarray:

@@ -8,8 +8,9 @@ cos(theta)/c at the carrier, so nothing cancels, and every other
 (omega/c)^2 - k_x^2, whose cancellation near grazing those digits absorb.
 The coefficients come from the two-interface closed form
 t = 1/(cos(beta d) - (i/2) q sin(beta d)), r = -(i/2) p sin(beta d) t with
-q, p = alpha_hat/beta +- beta/alpha_hat, and the stored energy from the gap
-amplitudes matched at the first face, integrated term by term.  Nothing
+q, p = alpha_hat/beta +- beta/alpha_hat, and the stored energy and the
+evanescent-to-free ratio from the gap amplitudes matched at the first
+face, integrated term by term.  Nothing
 here calls the library.
 
 Each drive of the synthesis has its function: the fixed angle (k_x and
@@ -83,26 +84,44 @@ def fixed_omega(scenario, k_x, kx0_float):
                              None)[:2]
 
 
+def _gap_terms(scenario):
+    """(C + D, kappa, pure, cross) at the carrier: the integral of |F|^2
+    over the gap is pure + cross, that of |F'|^2 is kappa^2 (pure - cross)."""
+    w0, kx0, alpha0 = _carrier(scenario)
+    n, d = _mpf(scenario.n), _mpf(scenario.d)
+    r, _, beta = _coefficients(scenario, w0, kx0, alpha0)
+    tm = scenario.polarization.value == "TM"
+    ratio = (alpha0 / n ** 2 if tm else alpha0) / beta
+    # 1 + r = C + D and alpha_hat (1 - r) = beta (C - D) at z = 0
+    c_amp = ((1 + r) + ratio * (1 - r)) / 2
+    d_amp = ((1 + r) - ratio * (1 - r)) / 2
+    kappa = mp.im(beta)
+    # expm1: at a 1e-300 mm gap 1 - e^{-2 kappa d} is below 60 digits
+    decay = -mp.expm1(-2 * kappa * d) / (2 * kappa)
+    grow = mp.expm1(2 * kappa * d) / (2 * kappa)
+    pure = abs(c_amp) ** 2 * decay + abs(d_amp) ** 2 * grow
+    cross = 2 * mp.re(c_amp * mp.conj(d_amp)) * d
+    return c_amp + d_amp, kappa, pure, cross
+
+
 def dwell_time(scenario):
     """Stored energy per unit area over incident normal flux [s]."""
     with mp.workdps(DPS):
         w0, kx0, alpha0 = _carrier(scenario)
-        n, c, d = _mpf(scenario.n), _mpf(scenario.c), _mpf(scenario.d)
-        r, _, beta = _coefficients(scenario, w0, kx0, alpha0)
-        tm = scenario.polarization.value == "TM"
-        ratio = (alpha0 / n ** 2 if tm else alpha0) / beta
-        # 1 + r = C + D and alpha_hat (1 - r) = beta (C - D) at z = 0
-        c_amp = ((1 + r) + ratio * (1 - r)) / 2
-        d_amp = ((1 + r) - ratio * (1 - r)) / 2
-        kappa = mp.im(beta)
-        decay = (1 - mp.exp(-2 * kappa * d)) / (2 * kappa)
-        grow = (mp.exp(2 * kappa * d) - 1) / (2 * kappa)
-        pure = abs(c_amp) ** 2 * decay + abs(d_amp) ** 2 * grow
-        cross = 2 * mp.re(c_amp * mp.conj(d_amp)) * d
+        n, c = _mpf(scenario.n), _mpf(scenario.c)
+        _, kappa, pure, cross = _gap_terms(scenario)
         per_area = ((1 + (c * kx0 / w0) ** 2) * (pure + cross)
                     + (c / w0) ** 2 * kappa ** 2 * (pure - cross)) / 4
+        tm = scenario.polarization.value == "TM"
         flux = c ** 2 * alpha0 / (2 * w0) / (n ** 2 if tm else 1)
         return per_area / flux
+
+
+def free_energy_ratio(scenario):
+    """Mean of |F|^2 over the gap over its entry value |C + D|^2."""
+    with mp.workdps(DPS):
+        entry, _, pure, cross = _gap_terms(scenario)
+        return (pure + cross) / (abs(entry) ** 2 * _mpf(scenario.d))
 
 
 def rel_error(got, want) -> float:

@@ -396,6 +396,21 @@ class TestOutOfMemory:
         assert err.startswith("error: hartman request does not fit in memory")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, what", [
+        (["hartman", "--d-steps", "1000000000000000000000000"], "gap widths"),
+        (["hartman", "--d-steps", "2000000000000000000"], "gap widths"),
+        (["pulse", "--fwhm-ns", "1e200"], "samples"),
+        (["pulse", "--fwhm-ns", "1e308"], "samples"),
+        (["causality", "--fwhm-ns", "1e300"], "samples"),
+    ])
+    def test_past_the_largest_array(self, argv, what, capsys):
+        # counts numpy cannot size (it raises ValueError, not MemoryError),
+        # and an infinite one, are checked before any array is built
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {argv[0]} request does not fit in memory: too many "
+            f"{what} for one array\n")
+
     def test_hartman_sweep(self, monkeypatch, capsys):
         # a stand-in for a sweep too long for memory
         def exhausted(*args, **kwargs):
