@@ -162,9 +162,8 @@ def _write_csv(text: str, args: argparse.Namespace) -> None:
 
 def _emit_with_out(payload: dict, args: argparse.Namespace,
                    columns: tuple[str, str], arrays) -> int:
-    """Write ``payload`` as JSON to stdout and ``arrays`` as CSV to
-    ``--out`` if given.  The JSON is formed and checked first, then the
-    file written, then stdout, so a run that fails writes nothing."""
+    """JSON checked, then ``arrays`` to ``--out``, then stdout: a failed run
+    writes nothing."""
     text = _json(payload, args)
     if args.out is not None:
         _write_csv(to_csv(columns, arrays, "%r"), args)
@@ -197,8 +196,7 @@ def cmd_hartman(args: argparse.Namespace, scenario: Scenario) -> int:
         raise ConfigError("need 0 < d-min-mm < d-max-mm")
     if args.d_steps < 2:
         raise ConfigError("need at least 2 sweep points")
-    # one array, sized before it is built: a step count too large for memory
-    # fails at once with MemoryError
+    # one array, sized before it is built: too many widths fail at once
     _require_array_size(args.d_steps, "gap widths")
     d = (args.d_min_mm + np.arange(args.d_steps, dtype=float)
          * (args.d_max_mm - args.d_min_mm) / (args.d_steps - 1)) * 1e-3

@@ -19,14 +19,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 C_VACUUM = 3.0e8          # m/s, rounded value used for all headline numbers
 C_CODATA = 299_792_458.0  # m/s, exact SI value, selectable via Scenario.c
 _MIN_GAP = sys.float_info.min  # m, the smallest positive gap width
-# the most complex doubles numpy can size one array for; past it numpy
-# raises ValueError where a smaller impossible request raises MemoryError
-_MAX_ELEMENTS = np.iinfo(np.intp).max // 16
 
 
 class Polarization(str, Enum):
@@ -39,9 +34,9 @@ class RegimeError(ValueError):
 
 
 def _require_array_size(count, what: str) -> None:
-    """Raise MemoryError unless ``count`` (inf included) is at most
-    ``_MAX_ELEMENTS``, before any array of that many ``what`` is built."""
-    if not count <= _MAX_ELEMENTS:
+    """Raise MemoryError for more ``what`` (or inf) than numpy can size one
+    complex array for (its intp is Py_ssize_t), where it raises ValueError."""
+    if not count <= sys.maxsize // 16:
         raise MemoryError(f"too many {what} for one array")
 
 
@@ -203,8 +198,7 @@ def wavevectors(scenario: Scenario) -> Wavevectors:
 
     ``kappa`` follows the attenuation-constant formula
     (omega/c) sqrt(n^2 sin^2(theta) - 1) in the evanescent regime and is 0
-    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times the
-    same radicand, not (omega/c)^2 - k_x^2, which cancels near grazing.
+    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times it.
     """
     n, th, c, omega = scenario.n, scenario.theta, scenario.c, scenario.omega
     k_prism, k0 = n * omega / c, omega / c

@@ -114,11 +114,7 @@ def goos_hanchen_shift(scenario: Scenario,
 def total_group_delay(scenario: Scenario,
                       channel: Channel = Channel.TRANSMISSION) -> DelayBreakdown:
     """``hartman_sweep`` at the scenario's gap width, as floats; closed
-    prisms give +0.0 for each term of transmission.
-
-    ``phase_delay`` (tau_0) is taken at fixed angle, k_x tracking omega as
-    for a pulse: it decays rapidly with gap width, not a traversal time.
-    """
+    prisms transmit with +0.0 for each term."""
     scenario.require_tunneling()
     if scenario.d == 0 and channel is Channel.TRANSMISSION:
         return DelayBreakdown(0.0, 0.0, 0.0)

@@ -116,16 +116,12 @@ def evanescent_vs_free_energy(scenario: Scenario) -> float:
     """Mean-square gap field relative to a constant-amplitude wave.
 
     Ratio of the stored field energy to that of a traveling plane wave
-    filling the same volume with the gap-entry amplitude.  It lies below 1
-    for every n, theta and polarization and tends to 1 as kappa*d -> 0
-    (uniform field): |F|^2 is convex in the gap (F'' = kappa^2 F) and flat
-    at the exit face, where the transmitted wave gives Re(F* F') = 0, so it
-    falls across the gap.  Flatness also gives |C e^{-kappa d}| =
-    |D e^{kappa d}|, hence 1 - ratio = 2 |C|^2 e^{-x} (cosh x - sinh(x)/x)
-    / |C + D|^2 with x = 2 kappa d.  Below x = 1e-3 the ratio is 1 less
-    that, the bracket taken as x^2/3 (1 + x^2/10): it cannot round above 1,
-    and it keeps the digits that the integrals cancel near the critical
-    angle.
+    filling the same volume with the gap-entry amplitude: below 1, tending
+    to 1 as kappa*d -> 0.  |F|^2 is convex (F'' = kappa^2 F) and flat at the
+    exit face (Re F* F' = 0), so |C e^{-kappa d}| = |D e^{kappa d}| and
+    1 - ratio = 2 |C|^2 e^{-x} (cosh x - sinh(x)/x)/|C + D|^2, x = 2 kappa d,
+    the form used below x = 1e-3 with the bracket x^2/3 (1 + x^2/10): it
+    cannot round above 1, nor cancel near the critical angle.
     """
     scenario.require_tunneling()
     if scenario.d <= 0:

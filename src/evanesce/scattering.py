@@ -7,11 +7,10 @@ propagating regimes in one code path.  Eliminating the matrices gives the
 closed form used below, written in the bounded factor e^{2i beta d} so
 that nothing overflows at any gap width.
 
-One alpha: the carrier's alpha_0 = (n omega_0/c) cos(theta) and beta_0^2 =
-(omega_0/c)^2 (1 - n^2 sin^2 theta) cancel nothing near grazing, where
-(n omega/c)^2 - k_x^2 does.  Every other alpha^2 and beta^2 is theirs moved
-by exact increments (``_normal_wavenumbers``), or on the fixed-angle path,
-where both scale with omega, alpha_0 and beta_0 times omega/omega_0.
+One alpha: only the carrier forms alpha_0 and beta_0^2 (``wavevectors``),
+which cancel nothing near grazing.  Every other alpha^2 and beta^2 is
+theirs moved by exact increments (``_normal_wavenumbers``), or on the
+fixed-angle path alpha_0 and beta_0 scaled by omega/omega_0.
 
 Phase reference planes: the incident/reflected amplitudes live on the first
 gap face (z = 0) and the transmitted amplitude on the second (z = d), so the
@@ -90,13 +89,9 @@ def _transfer(scenario: Scenario, alpha, beta):
 
 def _from_transfer(scenario: Scenario, transfer, beta, channel: Channel,
                    beta_ref: complex = 0.0):
-    """Channel coefficient t or r from ``_transfer``'s terms at ``beta``.
-
-    Reflection is r_num/den.  Transmission is alpha_hat e^{i(beta -
-    beta_ref) d}/den, divided by e^{i beta_ref d} so that it stays bounded
-    where e^{i beta d} underflows; without a gap it is 1, which
-    alpha_hat/den gives only to rounding.  Callers set ``np.errstate``.
-    """
+    """t or r from ``_transfer``'s terms, t over e^{i beta_ref d} so that it
+    stays bounded where e^{i beta d} underflows, and 1 without a gap, which
+    alpha_hat/den gives only to rounding.  Callers set ``np.errstate``."""
     alpha_hat, den, r_num = transfer
     if channel is Channel.REFLECTION:
         return r_num / den
@@ -107,8 +102,7 @@ def _from_transfer(scenario: Scenario, transfer, beta, channel: Channel,
 
 def _coefficient(scenario: Scenario, alpha, beta, channel: Channel,
                  beta_ref: complex = 0.0):
-    """Channel coefficient t or r at the normal wavenumbers, elementwise:
-    ``_from_transfer`` of one ``_transfer``."""
+    """t or r at the normal wavenumbers: ``_from_transfer`` of ``_transfer``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return _from_transfer(scenario, _transfer(scenario, alpha, beta), beta,
                               channel, beta_ref)
@@ -160,12 +154,8 @@ def scatter(scenario: Scenario, omega: float | None = None,
         c_amp = 0.5 * ((1 + r) + ratio * (1 - r))
         d_amp = 0.5 * t * (1 - ratio) * np.exp(1j * beta * scenario.d)
 
-    if scalar:
-        return ScatterResult(
-            r=complex(r), t=complex(t), c_amp=complex(c_amp),
-            d_amp=complex(d_amp), k_z_gap=complex(beta),
-        )
-    return ScatterResult(r=r, t=t, c_amp=c_amp, d_amp=d_amp, k_z_gap=beta)
+    fields = (r, t, c_amp, d_amp, beta)
+    return ScatterResult(*(map(complex, fields) if scalar else fields))
 
 
 def approx_transmission(scenario: Scenario) -> float:

@@ -42,9 +42,10 @@ defines a front, while the spectrum stays tame enough that the synthesis
 floor sits far below any leakage tolerance of interest.
 
 One routine, ``scattering._coefficient``, gives every drive its t or r
-by the rule ``scatter`` applies, the pulse and the front check in blocks of ``_BLOCK`` bins, each block's conjugate
-multiplied into the buffer (below) before the next is formed, so the
-per-bin work is sized for the cache.  Every operation is elementwise, so
+by the rule ``scatter`` applies, the pulse and the front check in blocks
+of ``_BLOCK`` bins, each block's conjugate multiplied into the buffer
+(below) before the next is formed, so the per-bin work is sized for the
+cache.  Every operation is elementwise, so
 each bin gets the same bits as from one pass over all bins.
 ``sample_pulse`` takes an ascending grid and evaluates the pulse only on
 the span where it can be nonzero (after the front, within 38.7 sigma,
@@ -189,8 +190,7 @@ def time_grid(pulse: PulseSpec, dt_factor: int, span_factor: int) -> np.ndarray:
         )
     dt = _step(pulse, dt_factor)
     n_req = span_factor * pulse.fwhm / dt
-    # the power of two at or above n_req is below 2 n_req
-    _require_array_size(2 * n_req, "samples")
+    _require_array_size(2 * n_req, "samples")  # the power of two < 2 n_req
     return _grid(1 << (math.ceil(n_req) - 1).bit_length(), dt)
 
 
