@@ -264,9 +264,9 @@ class TestEvanescentVsFree:
     @pytest.mark.parametrize("n, theta_deg", [(1.6, 45.0), (1.5, 42.0), (2.2, 70.0)])
     @pytest.mark.parametrize("d_mm", [1e-300, 1e-9, 1e-6, 1e-4, 1e-3])
     def test_thin_gap_against_mpmath(self, polarization, n, theta_deg, d_mm):
-        # below 1 to the last bit, and within an ulp of the exact ratio:
-        # 1e-300 mm printed 1.0000000000000002, and near the critical
-        # angle (42 deg at n = 1.5) the field integrals lost 200 ulps
+        # below 1 to the last bit and within an ulp of the exact
+        # ratio, also near the critical angle (42 deg at n = 1.5), where
+        # the field integrals cancel
         s = Scenario(n=n, f=9.15e9, theta=math.radians(theta_deg),
                      d=d_mm * 1e-3, polarization=polarization)
         got = evanescent_vs_free_energy(s)
