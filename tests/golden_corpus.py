@@ -48,6 +48,10 @@ _PLAIN = [
     ["attenuation", "--theta-deg", "30"],
     ["attenuation", "--n", "0.9"],
     ["attenuation", "--theta-deg", "89.9999999"],
+    ["attenuation", "--n", "1.5073733443449053", "--theta-deg", "41.560127499892"],
+    ["attenuation", "--n", "1.6", "--theta-deg", "38.68218745348944"],
+    ["attenuation", "--d-mm", "1e308"],
+    ["attenuation", "--n", "4", "--theta-deg", "89", "--f-ghz", "40", "--d-mm", "1e308"],
     ["hartman"],
     ["hartman", "--with-version"],
     ["hartman", "--polarization", "TM"],
@@ -70,6 +74,9 @@ _PLAIN = [
     ["hartman", "--n", "2.17", "--f-ghz", "34.4", "--theta-deg", "89.9999999",
      "--d-min-mm", "1e-4", "--d-max-mm", "2e-3", "--d-steps", "3"],
     ["hartman", "--d-min-mm", "1e-310", "--d-max-mm", "1e-305", "--d-steps", "3"],
+    ["hartman", "--n", "1.5073733443449053", "--theta-deg", "41.560127499892"],
+    ["hartman", "--n", "4", "--theta-deg", "89", "--f-ghz", "40", "--d-min-mm", "1e307",
+     "--d-max-mm", "1e308", "--d-steps", "2"],
     ["pulse"],
     ["pulse", "--out", "{out}"],
     ["pulse", "--channel", "reflection", "--out", "{out}"],
