@@ -18,8 +18,8 @@ from .scattering import (
     gap_attenuation_db, scatter,
 )
 from .delay import (
-    Channel, DegenerateChannelError, DelayBreakdown, delay_implied_by_shift,
-    goos_hanchen_shift, hartman_sweep, shift_implied_by_delay, total_group_delay,
+    Channel, DegenerateChannelError, DelayBreakdown, goos_hanchen_shift,
+    hartman_sweep, total_group_delay,
 )
 from .energy import (
     EnergyBudget, evanescent_vs_free_energy, stored_energy, train_model,
@@ -36,10 +36,9 @@ __all__ = [
     "GridGuardError", "Polarization", "PulseReport", "PulseSpec",
     "RegimeError", "ScatterResult", "Scenario", "TimeSeries", "Wavevectors",
     "approx_transmission", "attenuation_db_per_mm", "beam_centroid_shift",
-    "critical_angle", "delay_implied_by_shift", "differential_delay",
-    "evanescent_vs_free_energy", "front_causality_check", "gap_attenuation_db",
-    "goos_hanchen_shift", "hartman_sweep", "propagate_pulse",
-    "pulse_spatial_extent", "quasi_static_ratio", "scatter",
-    "shift_implied_by_delay", "stored_energy", "total_group_delay",
+    "critical_angle", "differential_delay", "evanescent_vs_free_energy",
+    "front_causality_check", "gap_attenuation_db", "goos_hanchen_shift",
+    "hartman_sweep", "propagate_pulse", "pulse_spatial_extent",
+    "quasi_static_ratio", "scatter", "stored_energy", "total_group_delay",
     "train_model", "vacuum_wavelength", "wavevectors",
 ]

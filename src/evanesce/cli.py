@@ -31,7 +31,7 @@ from .energy import (
 from .scattering import (
     approx_transmission, attenuation_db_per_mm, gap_attenuation_db, scatter,
 )
-from .sweep import to_csv
+from .sweep import require_finite, to_csv
 from .wavesynth import (
     beam_centroid_shift, front_causality_check, propagate_pulse,
     quasi_static_ratio,
@@ -185,6 +185,7 @@ def cmd_attenuation(args: argparse.Namespace, scenario: Scenario) -> int:
     if args.json:
         sys.stdout.write(_json(report, args))
     else:
+        require_finite(report.keys(), report.values())
         sys.stdout.write(_version_line(args))
         for key, value in report.items():
             sys.stdout.write(f"{key} = {value!r}\n")

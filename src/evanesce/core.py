@@ -97,8 +97,8 @@ class Scenario:
 
     @property
     def is_tunneling(self) -> bool:
-        """True iff the gap wave is evanescent (n sin(theta) > 1)."""
-        return self.n * math.sin(self.theta) > 1
+        """True iff the gap wave is evanescent: kappa's radicand is > 0."""
+        return _radicand(self) > 0
 
     def require_tunneling(self) -> None:
         if not self.is_tunneling:
@@ -193,16 +193,23 @@ def pulse_spatial_extent(pulse: PulseSpec, c: float = C_VACUUM) -> float:
     return c * pulse.fwhm
 
 
+def _radicand(scenario: Scenario) -> float:
+    """n^2 sin^2(theta) - 1, kappa's radicand: the one test of the regime,
+    evanescent iff > 0.  Decided on the radicand itself, since kappa and
+    ``k_z_gap_sq`` scale it by omega/c and underflow at tiny carriers."""
+    return scenario.n * scenario.n * math.sin(scenario.theta) ** 2 - 1.0
+
+
 def wavevectors(scenario: Scenario) -> Wavevectors:
     """Propagation constants for ``scenario`` at its carrier omega.
 
     ``kappa`` follows the attenuation-constant formula
     (omega/c) sqrt(n^2 sin^2(theta) - 1) in the evanescent regime and is 0
-    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times it.
+    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times the radicand.
     """
     n, th, c, omega = scenario.n, scenario.theta, scenario.c, scenario.omega
     k_prism, k0 = n * omega / c, omega / c
-    radicand = n * n * math.sin(th) ** 2 - 1.0
+    radicand = _radicand(scenario)
     return Wavevectors(
         k_x=k_prism * math.sin(th), k_z_prism=k_prism * math.cos(th),
         kappa=k0 * math.sqrt(radicand) if radicand > 0 else 0.0,

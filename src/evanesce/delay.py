@@ -72,11 +72,6 @@ class DelayBreakdown:
     group_delay: float | np.ndarray  # s, total (tau_g)
 
 
-def _lateral_slowness(scenario: Scenario) -> float:
-    """n sin(theta)/c: inverse trace speed of the wavefront along x [s/m]."""
-    return scenario.n * math.sin(scenario.theta) / scenario.c
-
-
 def _require_live(scenario: Scenario, channel: Channel) -> None:
     """Reject the reflection channel of closed prisms, where r = 0."""
     if channel is Channel.REFLECTION and scenario.d == 0:
@@ -124,16 +119,6 @@ def total_group_delay(scenario: Scenario,
         sweep.phase_delay, sweep.gh_shift, sweep.group_delay)))
 
 
-def delay_implied_by_shift(scenario: Scenario, shift: float) -> float:
-    """Saturated-regime delay s * n sin(theta)/c implied by a shift [s]."""
-    return shift * _lateral_slowness(scenario)
-
-
-def shift_implied_by_delay(scenario: Scenario, tau_g: float) -> float:
-    """Lateral shift tau_g * c/(n sin(theta)) implied by a delay [m]."""
-    return tau_g / _lateral_slowness(scenario)
-
-
 def hartman_sweep(scenario: Scenario,
                   d_values: Sequence[float]) -> DelayBreakdown:
     """Delay breakdown versus gap width.
@@ -152,5 +137,6 @@ def hartman_sweep(scenario: Scenario,
         raise ValueError("d_values must be strictly ascending")
     scenario.require_tunneling()
     tau0, shift = _delays(scenario, d)
-    tau_g = tau0 + shift * _lateral_slowness(scenario)
+    # n sin(theta)/c: the inverse trace speed of the wavefront along x
+    tau_g = tau0 + shift * (scenario.n * math.sin(scenario.theta) / scenario.c)
     return DelayBreakdown(tau0, shift, tau_g)

@@ -181,4 +181,6 @@ def gap_attenuation_db(scenario: Scenario) -> float:
     """Total loss over the gap, 2 kappa d in dB, reported positive."""
     scenario.require_tunneling()
     kappa = wavevectors(scenario).kappa
-    return 20.0 * kappa * scenario.d / math.log(10.0)
+    # 20 kappa d formed after the division by ln 10, so that it overflows
+    # only where the result does; it rounds as 20 kappa d / ln 10 does
+    return 2.0 * (10.0 * kappa * scenario.d / math.log(10.0))

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from evanesce import Scenario, cli, total_group_delay
+from evanesce.sweep import to_csv
 
 C = 3.0e8
 
@@ -305,6 +306,38 @@ class TestFailedRunWritesNoOut:
         assert "underflows to 0.0 at every sample" in stderr
         assert stderr.count("\n") == 1
         assert not out.exists()
+
+
+class TestFiniteTextAndCsv:
+    """CSV and text output carry finite numbers only, as JSON does: a NaN or
+    an infinity exits 2 with one line before anything is written."""
+
+    def test_attenuation_text(self, capsys):
+        argv = ["attenuation", "--n", "4", "--theta-deg", "89", "--f-ghz", "40",
+                "--d-mm", "1e308"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: non-finite value in gap_attenuation_db; nothing was written\n"
+
+    def test_hartman_csv(self, tmp_path, capsys):
+        argv = ["hartman", "--n", "4", "--theta-deg", "89", "--f-ghz", "40",
+                "--d-min-mm", "1e307", "--d-max-mm", "1e308", "--d-steps", "2"]
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(argv) == 2
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr == 2 * "error: non-finite value in tau0_ps; nothing was written\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_to_csv(self, bad):
+        # pulse --out and beam --out: no input is known to reach them with one
+        with pytest.raises(ValueError, match="^non-finite value in field;"):
+            to_csv(("t_ns", "field"), (np.zeros(2), np.array([0.0, bad])), "%r")
 
 
 class TestEnergyCommand:

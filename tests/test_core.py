@@ -149,6 +149,13 @@ class TestScenario:
         assert Scenario(n=1.6, f=9.15e9, theta=math.radians(45), d=0.04).is_tunneling
         assert not Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.04).is_tunneling
 
+    def test_tunneling_decided_past_the_underflow_of_kappa(self):
+        # (omega/c)^2 and kappa underflow to 0 at a subnormal carrier; the
+        # regime is a property of n and theta alone
+        s = Scenario(n=1.6, f=1e-320, theta=math.radians(45), d=0.04)
+        assert wavevectors(s).kappa == 0.0 and wavevectors(s).k_z_gap_sq == 0.0
+        assert s.is_tunneling
+
     def test_polarization_coercion(self):
         s = Scenario(n=1.6, f=9.15e9, theta=0.8, d=0.04, polarization="TM")
         assert s.polarization is Polarization.TM
