@@ -205,7 +205,8 @@ def wavevectors(scenario: Scenario) -> Wavevectors:
 
     ``kappa`` follows the attenuation-constant formula
     (omega/c) sqrt(n^2 sin^2(theta) - 1) in the evanescent regime and is 0
-    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times the radicand.
+    below the critical angle; ``k_z_gap_sq`` is -(omega/c)^2 times the
+    radicand.
     """
     n, th, c, omega = scenario.n, scenario.theta, scenario.c, scenario.omega
     k_prism, k0 = n * omega / c, omega / c

@@ -318,7 +318,8 @@ class TestFiniteTextAndCsv:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: non-finite value in gap_attenuation_db; nothing was written\n"
+        assert err == ("error: non-finite value in gap_attenuation_db; "
+                       "nothing was written\n")
 
     def test_hartman_csv(self, tmp_path, capsys):
         argv = ["hartman", "--n", "4", "--theta-deg", "89", "--f-ghz", "40",
@@ -330,7 +331,8 @@ class TestFiniteTextAndCsv:
             assert cli.main([*argv, "--out", str(out)]) == 2
         stdout, stderr = capsys.readouterr()
         assert stdout == ""
-        assert stderr == 2 * "error: non-finite value in tau0_ps; nothing was written\n"
+        assert stderr == 2 * ("error: non-finite value in tau0_ps; "
+                              "nothing was written\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -153,7 +153,8 @@ class TestScenario:
         # (omega/c)^2 and kappa underflow to 0 at a subnormal carrier; the
         # regime is a property of n and theta alone
         s = Scenario(n=1.6, f=1e-320, theta=math.radians(45), d=0.04)
-        assert wavevectors(s).kappa == 0.0 and wavevectors(s).k_z_gap_sq == 0.0
+        wv = wavevectors(s)
+        assert wv.kappa == 0.0 and wv.k_z_gap_sq == 0.0
         assert s.is_tunneling
 
     def test_polarization_coercion(self):

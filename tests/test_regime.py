@@ -88,6 +88,5 @@ def test_tunneling_iff_kappa_positive():
     for _ in range(20000):
         n = rng.uniform(1.01, 4.0)
         theta = critical_angle(n) + rng.choice([-1, 1]) * 10 ** rng.uniform(-17, -1)
-        s = Scenario(n=n, f=10 ** rng.uniform(8.5, 10.7),
-                     theta=min(max(theta, 1e-3), 1.57), d=0.04)
+        s = Scenario(n=n, f=10 ** rng.uniform(8.5, 10.7), theta=theta, d=0.04)
         assert s.is_tunneling == (wavevectors(s).kappa > 0), s

@@ -414,16 +414,14 @@ class TestTransmissionNumbers:
         assert gap_attenuation_db(s) == 8.807913285788688e+307
 
     def test_gap_db_rounds_as_the_direct_quotient(self):
-        # dividing before the last doubling moves no bit wherever
-        # 20 kappa d / ln 10 is finite
+        # dividing before the last doubling moves no bit where 20 kappa d
+        # is finite (kappa d < 1e305 here)
         rng = np.random.default_rng(2021)
         for _ in range(2000):
             s = Scenario(n=rng.uniform(1.01, 4.0), f=10 ** rng.uniform(8, 11),
                          theta=rng.uniform(1.2, 1.57), d=10 ** rng.uniform(-6, 300))
-            if not s.is_tunneling:
-                continue
-            direct = 20.0 * wavevectors(s).kappa * s.d / math.log(10.0)
-            if math.isfinite(direct):
+            if s.is_tunneling:
+                direct = 20.0 * wavevectors(s).kappa * s.d / math.log(10.0)
                 assert gap_attenuation_db(s) == direct, s
 
     def test_consistency_db_routes(self, headline):
