@@ -77,6 +77,7 @@ _PLAIN = [
     ["hartman", "--n", "1.5073733443449053", "--theta-deg", "41.560127499892"],
     ["hartman", "--n", "4", "--theta-deg", "89", "--f-ghz", "40", "--d-min-mm", "1e307",
      "--d-max-mm", "1e308", "--d-steps", "2"],
+    ["hartman", "--theta-deg", "38.68218745348944"],
     ["pulse"],
     ["pulse", "--out", "{out}"],
     ["pulse", "--channel", "reflection", "--out", "{out}"],
@@ -106,6 +107,9 @@ _PLAIN = [
     ["beam", "--polarization", "TM", "--n", "1.39", "--theta-deg", "66.3",
      "--f-ghz", "6.13", "--d-mm", "149688", "--waist-wavelengths", "45.6",
      "--out", "{out}"],
+    ["beam", "--theta-deg", "38.68218745348944"],
+    ["beam", "--waist-wavelengths", "1e16"],
+    ["beam", "--d-mm", "1000"],
     ["energy"],
     ["energy", "--d-mm", "0"],
     ["energy", "--d-mm", "400"],
