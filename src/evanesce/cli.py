@@ -243,7 +243,8 @@ def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
     return _emit_with_out({
         "channel": channel.value,
         "waist_wavelengths": args.waist_wavelengths,
-        "centroid_cm": profile.centroid * 100,
+        # the input beam is centred on x = 0: its centroid is the shift
+        "centroid_cm": profile.centroid_shift * 100,
         "centroid_shift_cm": profile.centroid_shift * 100,
         "gh_shift_cm": goos_hanchen_shift(scenario, channel) * 100,
     }, args, ("x_cm", "intensity"), (profile.x_samples * 100, profile.intensity))

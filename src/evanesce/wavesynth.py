@@ -76,7 +76,7 @@ from .core import (
     BeamSpec, PulseSpec, Scenario, _require_array_size, vacuum_wavelength,
     wavevectors,
 )
-from .delay import Channel, _require_live
+from .delay import Channel, _require_live, _shift
 from .scattering import _coefficient, _normal_wavenumbers
 
 
@@ -135,11 +135,11 @@ class PulseReport:
 
 @dataclass(frozen=True)
 class BeamProfile:
-    """Transverse intensity profile with centroid bookkeeping."""
+    """Transverse intensity profile of the output beam and its centroid
+    shift from the input beam, which is centred on x = 0."""
 
     x_samples: np.ndarray
     intensity: np.ndarray
-    centroid: float
     centroid_shift: float
 
 
@@ -431,10 +431,13 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
     """Angular-spectrum propagation of a monochromatic Gaussian beam.
 
     Each transverse-wavenumber component is scattered independently at the
-    carrier frequency and the output plane is recomposed on 4096 points
-    over 32 waists; the centroid shift is measured against a
-    unit-coefficient reference on the same grid, so a vanished structure
-    reports exactly zero.
+    carrier frequency, and the output plane is recomposed on 4096 points
+    over 32 waists.  The centroid shift is the spectrum's first moment: by
+    Parseval, the |S c|^2-weighted mean of the per-component shift s(k_x)
+    over the launchable k_x (S the input spectrum, c the channel
+    coefficient), so it needs no abscissae and no second synthesis, and a
+    vanished structure reports exactly zero.  It equals the profile's
+    centroid wherever the window resolves the output beam.
     """
     _require_live(scenario, channel)
     lam = vacuum_wavelength(scenario.f, scenario.c)
@@ -467,18 +470,18 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
             f"{bad_weight:.1%} of the weight exceeds k_x = n omega/c"
         )
 
-    coef = np.zeros(n_points, dtype=complex)
-    coef[launchable] = _coefficient(
-        scenario, *_normal_wavenumbers(scenario, omega, kx[launchable]), channel)
-
-    field_out = np.fft.fftshift(np.fft.ifft(spectrum * coef))
-    field_ref = np.fft.fftshift(np.fft.ifft(np.where(launchable, spectrum, 0.0)))
-    intensity = np.abs(field_out) ** 2
+    kx = kx[launchable]
+    alpha, beta = _normal_wavenumbers(scenario, omega, kx)
+    spectrum_out = np.zeros(n_points, dtype=complex)
+    spectrum_out[launchable] = spectrum[launchable] * _coefficient(
+        scenario, alpha, beta, channel)
+    intensity = np.abs(np.fft.fftshift(np.fft.ifft(spectrum_out))) ** 2
     if not intensity.any():
         raise GridGuardError(f"the {channel.value} intensity underflows to 0.0 "
                              "at every sample: no centroid to measure")
-    intensity_ref = np.abs(field_ref) ** 2
-    centroid = float(np.sum(x * intensity) / np.sum(intensity))
-    centroid_ref = float(np.sum(x * intensity_ref) / np.sum(intensity_ref))
-    return BeamProfile(x_samples=x, intensity=intensity, centroid=centroid,
-                       centroid_shift=centroid - centroid_ref)
+    weight = np.abs(spectrum_out[launchable]) ** 2
+    (live,) = weight.nonzero()
+    weight = weight[live]
+    shift = _shift(scenario, alpha[live], beta[live], kx[live], scenario.d)
+    return BeamProfile(x_samples=x, intensity=intensity,
+                       centroid_shift=float(np.sum(weight * shift) / np.sum(weight)))

@@ -84,6 +84,51 @@ def fixed_omega(scenario, k_x, kx0_float):
                              None)[:2]
 
 
+def _transmission_denominator(scenario, omega, k_x):
+    """D = 1/t = cos(phi) - (i/2)(alpha_hat + beta^2/alpha_hat) sin(phi)/beta,
+    phi = beta d, at (omega, k_x); even in beta, so its branch is moot."""
+    n, c, d = _mpf(scenario.n), _mpf(scenario.c), _mpf(scenario.d)
+    k0 = omega / c
+    alpha = mp.sqrt((n * k0) ** 2 - k_x ** 2)
+    beta = mp.sqrt(mp.mpc(k0 ** 2 - k_x ** 2))
+    alpha_hat = alpha / n ** 2 if scenario.polarization.value == "TM" else alpha
+    phi = beta * d
+    sinc = mp.sin(phi) / phi if phi != 0 else mp.mpf(1)
+    return mp.cos(phi) - 0.5j * (alpha_hat + beta ** 2 / alpha_hat) * d * sinc
+
+
+def with_beta(scenario, beta):
+    """(k_x, alpha, k_x rounded) at omega_0 for the double ``beta``, real
+    or imaginary: k_x = sqrt((omega_0/c)^2 - beta^2) at the working
+    precision, whose beta is ``beta`` exactly, and alpha rounded to a
+    double.  A phase beta d of many radians then carries no rounding of
+    beta into the reference."""
+    with mp.workdps(DPS):
+        n, k0 = _mpf(scenario.n), _mpf(scenario.omega) / _mpf(scenario.c)
+        beta_sq = mp.re(mp.mpc(beta) ** 2)
+        k_x = mp.sqrt(k0 ** 2 - beta_sq)
+        return k_x, float(mp.sqrt((n ** 2 - 1) * k0 ** 2 + beta_sq)), float(k_x)
+
+
+def beam_k_x(scenario, k_x, kx0_float):
+    """The exact carrier's k_x0 plus the increment of the double ``k_x``
+    from the float carrier ``kx0_float``: the k_x that a beam bin stands for."""
+    with mp.workdps(DPS):
+        return _carrier(scenario)[1] + (_mpf(k_x) - _mpf(kx0_float))
+
+
+def shift(scenario, k_x=None):
+    """The GH shift s = -d arg(t)/d k_x = Im(D'/D) at fixed omega_0 [m],
+    at ``k_x`` (a double or an mpf), or at the carrier's k_x0 when None; D' is
+    ``mp.diff`` of the closed form, not its derivative written out."""
+    with mp.workdps(DPS):
+        w0, kx0, _ = _carrier(scenario)
+        k_x = kx0 if k_x is None else mp.mpf(k_x)
+        def denominator(k):
+            return _transmission_denominator(scenario, w0, k)
+        return mp.im(mp.diff(denominator, k_x) / denominator(k_x))
+
+
 def _gap_terms(scenario):
     """(C + D, kappa, pure, cross) at the carrier: the integral of |F|^2
     over the gap is pure + cross, that of |F'|^2 is kappa^2 (pure - cross)."""
