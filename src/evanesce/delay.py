@@ -149,18 +149,19 @@ def _exact_phase(beta, d):
 
 def _propagating_shift(alpha, alpha_hat, beta, k_x, d):
     """s where beta is real and phi >= 1: ``_near_shift``'s terms times
-    beta^2, in sin(phi) and cos(phi), so that d never stands alone.  The
-    rounding e of phi is added back to first order, since at phi of
-    hundreds of radians it alone would move s by ~1e-13."""
+    beta^2, in sin(phi) and cos(phi), so that d never stands alone.  phi
+    is the exact product beta d, since at hundreds of radians its rounding
+    alone would move s by ~1e-13; each term is divided by the denominator,
+    which is at least min(beta^2, Q^2/4), before it is scaled."""
     beta = beta.real
     q, minus_dq = _q_terms(alpha, alpha_hat, beta * beta, k_x)
     phi, e = _exact_phase(beta, d)
-    sin, cos = np.sin(phi), np.cos(phi)
-    sin, cos = sin + e * cos, cos - e * sin
+    sin_phi, cos_phi, sin_e, cos_e = np.sin(phi), np.cos(phi), np.sin(e), np.cos(e)
+    sin, cos = sin_phi * cos_e + cos_phi * sin_e, cos_phi * cos_e - sin_phi * sin_e
     sin_cos = sin * cos
-    return ((k_x * q * ((phi - sin_cos) + e) / (2 * beta)
-             + 0.5 * minus_dq * beta * sin_cos)
-            / ((beta * cos) ** 2 + (0.5 * q * sin) ** 2))
+    den = (beta * cos) ** 2 + (0.5 * q * sin) ** 2
+    return (k_x * q / (2 * beta) * (((phi - sin_cos) + e) / den)
+            + 0.5 * minus_dq * beta * (sin_cos / den))
 
 
 def _evanescent_shift(alpha, alpha_hat, beta, k_x, d):

@@ -472,14 +472,14 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
 
     kx = kx[launchable]
     alpha, beta = _normal_wavenumbers(scenario, omega, kx)
+    band = spectrum[launchable] * _coefficient(scenario, alpha, beta, channel)
     spectrum_out = np.zeros(n_points, dtype=complex)
-    spectrum_out[launchable] = spectrum[launchable] * _coefficient(
-        scenario, alpha, beta, channel)
+    spectrum_out[launchable] = band
     intensity = np.abs(np.fft.fftshift(np.fft.ifft(spectrum_out))) ** 2
     if not intensity.any():
         raise GridGuardError(f"the {channel.value} intensity underflows to 0.0 "
                              "at every sample: no centroid to measure")
-    weight = np.abs(spectrum_out[launchable]) ** 2
+    weight = np.abs(band) ** 2
     (live,) = weight.nonzero()
     weight = weight[live]
     shift = _shift(scenario, alpha[live], beta[live], kx[live], scenario.d)

@@ -10,8 +10,10 @@ The coefficients come from the two-interface closed form
 t = 1/(cos(beta d) - (i/2) q sin(beta d)), r = -(i/2) p sin(beta d) t with
 q, p = alpha_hat/beta +- beta/alpha_hat, and the stored energy and the
 evanescent-to-free ratio from the gap amplitudes matched at the first
-face, integrated term by term.  Nothing
-here calls the library.
+face, integrated term by term.  The Goos-Hanchen shift (``shift``) is
+``mp.diff`` of that t in k_x at omega_0; ``with_beta`` gives the k_x of
+a double beta, so that a phase beta d of many radians carries no
+rounding of beta into the comparison.  Nothing here calls the library.
 
 Each drive of the synthesis has its function: the fixed angle (k_x and
 alpha proportional to omega), the fixed k_x = k_x0, and the fixed omega =
@@ -84,19 +86,6 @@ def fixed_omega(scenario, k_x, kx0_float):
                              None)[:2]
 
 
-def _transmission_denominator(scenario, omega, k_x):
-    """D = 1/t = cos(phi) - (i/2)(alpha_hat + beta^2/alpha_hat) sin(phi)/beta,
-    phi = beta d, at (omega, k_x); even in beta, so its branch is moot."""
-    n, c, d = _mpf(scenario.n), _mpf(scenario.c), _mpf(scenario.d)
-    k0 = omega / c
-    alpha = mp.sqrt((n * k0) ** 2 - k_x ** 2)
-    beta = mp.sqrt(mp.mpc(k0 ** 2 - k_x ** 2))
-    alpha_hat = alpha / n ** 2 if scenario.polarization.value == "TM" else alpha
-    phi = beta * d
-    sinc = mp.sin(phi) / phi if phi != 0 else mp.mpf(1)
-    return mp.cos(phi) - 0.5j * (alpha_hat + beta ** 2 / alpha_hat) * d * sinc
-
-
 def with_beta(scenario, beta):
     """(k_x, alpha, k_x rounded) at omega_0 for the double ``beta``, real
     or imaginary: k_x = sqrt((omega_0/c)^2 - beta^2) at the working
@@ -118,15 +107,17 @@ def beam_k_x(scenario, k_x, kx0_float):
 
 
 def shift(scenario, k_x=None):
-    """The GH shift s = -d arg(t)/d k_x = Im(D'/D) at fixed omega_0 [m],
-    at ``k_x`` (a double or an mpf), or at the carrier's k_x0 when None; D' is
-    ``mp.diff`` of the closed form, not its derivative written out."""
+    """The GH shift s = -d arg(t)/dk_x at omega_0 [m], at ``k_x`` (a double
+    or an mpf), or at the carrier's k_x0 when None: ``mp.diff`` of the
+    closed-form t, not its derivative written out."""
     with mp.workdps(DPS):
         w0, kx0, _ = _carrier(scenario)
         k_x = kx0 if k_x is None else mp.mpf(k_x)
-        def denominator(k):
-            return _transmission_denominator(scenario, w0, k)
-        return mp.im(mp.diff(denominator, k_x) / denominator(k_x))
+
+        def t(k):
+            return _coefficients(scenario, w0, k, None)[1]
+
+        return -mp.im(mp.diff(t, k_x) / t(k_x))
 
 
 def _gap_terms(scenario):

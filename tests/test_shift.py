@@ -14,6 +14,7 @@ of 1e15 m at a 1e16-wavelength waist.
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,3 +101,15 @@ def test_wide_waist_beam_gives_gh_shift(waist_wavelengths, capsys):
         payload["gh_shift_cm"], rel=1e-12)
     assert payload["centroid_cm"] == payload["centroid_shift_cm"]
     assert payload["gh_shift_cm"] == pytest.approx(1.96703579154469, rel=1e-12)
+
+
+@pytest.mark.parametrize("d_mm", ["1e300", "1e308"])
+def test_beam_shift_finite_at_any_phase(d_mm, capsys):
+    # the beam's propagating components reach phi = beta d ~ 1e307 rad,
+    # whose rounding e is past 2^53 rad: sin(phi + e) stays bounded, and
+    # s ~ d k_x/beta past the light line, of order d itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = cli_json(capsys, "beam", "--d-mm", d_mm)
+    d_m, shift_m = float(d_mm) / 1000, payload["centroid_shift_cm"] / 100
+    assert 0.1 * d_m < shift_m < math.inf
