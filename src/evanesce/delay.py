@@ -156,8 +156,10 @@ def _propagating_shift(alpha, alpha_hat, beta, k_x, d):
     beta = beta.real
     q, minus_dq = _q_terms(alpha, alpha_hat, beta * beta, k_x)
     phi, e = _exact_phase(beta, d)
-    sin_phi, cos_phi, sin_e, cos_e = np.sin(phi), np.cos(phi), np.sin(e), np.cos(e)
-    sin, cos = sin_phi * cos_e + cos_phi * sin_e, cos_phi * cos_e - sin_phi * sin_e
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    sin_e, cos_e = np.sin(e), np.cos(e)
+    sin = sin_phi * cos_e + cos_phi * sin_e
+    cos = cos_phi * cos_e - sin_phi * sin_e
     sin_cos = sin * cos
     den = (beta * cos) ** 2 + (0.5 * q * sin) ** 2
     return (k_x * q / (2 * beta) * (((phi - sin_cos) + e) / den)
@@ -194,7 +196,8 @@ def _shift(scenario: Scenario, alpha, beta, k_x, d):
     near = np.abs(beta) * d < 1
     evanescent = np.imag(beta) > 0
     shift = np.empty(near.shape)
-    for mask, form in ((near, _near_shift), (~near & evanescent, _evanescent_shift),
+    for mask, form in ((near, _near_shift),
+                       (~near & evanescent, _evanescent_shift),
                        (~(near | evanescent), _propagating_shift)):
         (index,) = mask.nonzero()
         if len(index) == len(shift):

@@ -483,5 +483,5 @@ def beam_centroid_shift(scenario: Scenario, beam: BeamSpec,
     (live,) = weight.nonzero()
     weight = weight[live]
     shift = _shift(scenario, alpha[live], beta[live], kx[live], scenario.d)
-    return BeamProfile(x_samples=x, intensity=intensity,
-                       centroid_shift=float(np.sum(weight * shift) / np.sum(weight)))
+    return BeamProfile(x_samples=x, intensity=intensity, centroid_shift=float(
+        np.sum(weight * shift) / np.sum(weight)))
