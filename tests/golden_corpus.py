@@ -94,6 +94,8 @@ _PLAIN = [
     ["pulse", "--d-mm", "0"],
     ["pulse", "--channel", "reflection", "--d-mm", "1e-300", "--out", "{out}"],
     ["pulse", "--theta-deg", "89.9999999"],
+    ["pulse", "--d-mm", "200"],
+    ["pulse", "--channel", "reflection", "--polarization", "TM"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
