@@ -226,11 +226,10 @@ def _one_sided(pulse: PulseSpec, n: int, dt: float):
         np.arange(lo, hi) % 2, -gauss, gauss)
 
 
-def _analytic(pulse: PulseSpec, n: int, dt: float,
-              coefficient=None) -> np.ndarray:
-    """Length-n analytic signal of the pulse on the n-sample grid of step
-    ``dt``: its one-sided spectrum from ``_one_sided``, times the conjugated
-    ``coefficient(omegas)`` on the band when one is given.
+def _analytic(pulse: PulseSpec, n: int, dt: float, coefficient) -> np.ndarray:
+    """Length-n analytic signal of the pulse filtered by the channel on the
+    n-sample grid of step ``dt``: its one-sided spectrum from ``_one_sided``
+    times the conjugated ``coefficient(omegas)`` on the band.
 
     One length-n complex buffer is held (see the module docstring): the
     band is written into it and released, each block's coefficient is
@@ -244,25 +243,58 @@ def _analytic(pulse: PulseSpec, n: int, dt: float,
     window = spectrum[lo:lo + len(band)]
     window[...] = band
     del band
-    if coefficient is not None:
-        for start in range(0, len(omegas), _BLOCK):
-            part = window[start:start + _BLOCK]
-            # conjugate: physical coefficients are defined for e^{-i omega t}
-            np.multiply(part, np.conj(coefficient(omegas[start:start + _BLOCK])),
-                        out=part)
+    for start in range(0, len(omegas), _BLOCK):
+        part = window[start:start + _BLOCK]
+        # conjugate: physical coefficients are defined for e^{-i omega t}
+        np.multiply(part, np.conj(coefficient(omegas[start:start + _BLOCK])),
+                    out=part)
     del omegas
     return np.fft.ifft(spectrum, out=spectrum)
 
 
-def _peak_time(t: np.ndarray, dt: float, env: np.ndarray) -> float:
-    i = int(np.argmax(env))
-    if i == 0 or i == len(env) - 1:
-        return float(t[i])
-    y0, y1, y2 = env[i - 1], env[i], env[i + 1]
-    denom = y0 - 2 * y1 + y2
-    if denom == 0:
-        return float(t[i])
-    return float(t[i] + 0.5 * dt * (y0 - y2) / denom)
+def _peak(t: np.ndarray, dt: float, lo: int, band: np.ndarray,
+          j: int) -> tuple[float, float]:
+    """(time, envelope times n) of the peak near sample j of the length-n
+    analytic signal whose spectrum is ``band`` on bins lo, lo + 1, ... and 0
+    elsewhere: parabolic interpolation through its envelope at samples
+    j - 1, j and j + 1, evaluated by direct sums over the band.
+
+    The terms of sample j are c_k = band_k e^{2 pi i k j/n}, with k j mod n
+    reduced as an integer to a quarter turn i^q, exact, times a phase of at
+    most pi/4.  Up to a common phase, samples j -/+ 1 are S - (R +/- iQ),
+    with S = sum c_k, R = sum c_k 2 sin^2(phi_k/2), Q = sum c_k sin(phi_k)
+    and phi_k = 2 pi (k - k_c)/n about the band's middle bin k_c.  Their
+    envelopes' differences from sample j's are formed from R and Q, which
+    are small, so neither the slope nor the curvature of the parabola is a
+    difference of nearly equal envelopes.  A real band at j = n/2 has
+    R + iQ and R - iQ conjugate, and so an envelope symmetric about t = 0 to
+    the last bit.
+    """
+    n = len(t)
+    eighth = n // 8
+    k = np.arange(lo, lo + len(band))
+    m = (k * j + eighth) % n - eighth  # k j mod n, in [-n/8, 7n/8)
+    quarter = (m + eighth) // (2 * eighth)
+    terms = (band * np.array([1, 1j, -1, -1j])[quarter]
+             * np.exp((m - 2 * eighth * quarter) * (2j * math.pi / n)))
+    phi = (k - (lo + len(band) // 2)) * (2 * math.pi / n)
+    middle = complex(np.sum(terms))
+    r = complex(np.sum(terms * (2 * np.sin(phi / 2) ** 2)))
+    q = complex(np.sum(terms * np.sin(phi)))
+    y1 = abs(middle)
+    if j == 0 or j == n - 1:
+        return float(t[j]), y1
+
+    def rise(u):
+        """|middle - u| - |middle|, from |u|^2 - 2 Re(conj(middle) u)."""
+        return ((u.real ** 2 + u.imag ** 2 - 2 * (middle.conjugate() * u).real)
+                / (abs(middle - u) + y1))
+
+    before, after = rise(r + 1j * q), rise(r - 1j * q)
+    curvature = before + after
+    if curvature == 0:
+        return float(t[j]), y1
+    return float(t[j] + 0.5 * dt * (before - after) / curvature), y1
 
 
 def _fwhm(t: np.ndarray, env: np.ndarray) -> float:
@@ -283,14 +315,37 @@ def _fwhm(t: np.ndarray, env: np.ndarray) -> float:
     return float(right - left)
 
 
-def _shape_correlation(env_a: np.ndarray, env_b: np.ndarray) -> float:
-    cross = np.fft.rfft(env_a)
-    # the order of ``rfft(a) * np.conj(rfft(b))``, which reuses the left
-    # temporary: the complex product is not commutative to the last bit
-    np.multiply(cross, np.conj(np.fft.rfft(env_b)), out=cross)
-    corr = np.fft.irfft(cross, len(env_a))
-    return float(corr.max()
-                 / math.sqrt(float(np.sum(env_a ** 2) * np.sum(env_b ** 2))))
+def _incident_envelope(n: int, sigma: float, dt: float):
+    """The ``rfft`` of the incident envelope e^{-t^2/2 sigma^2} sampled at
+    t = (j - n/2) dt, on the bins where it is nonzero, and its sum of
+    squares.
+
+    Both are closed forms, by Poisson summation as in ``_one_sided``:
+    (sigma sqrt(2 pi)/dt) e^{-(omega sigma)^2/2} (-1)^k on the bins with
+    omega sigma <= 38.7, past which it underflows to 0.0, and
+    sigma sqrt(pi)/dt.  Under the quasi-monochromatic guard this envelope is
+    the pulse's analytic-signal envelope to within
+    e^{-(omega_0 sigma)^2/2} < 1e-154 of its peak.
+    """
+    live = min(n // 2 + 1,
+               math.floor(_GAUSS_REACH * n * dt / (2 * math.pi * sigma)) + 1)
+    omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)[:live]
+    spectrum = (sigma * math.sqrt(2 * math.pi) / dt
+                * np.exp(-(omegas * sigma) ** 2 / 2))
+    spectrum[1::2] *= -1.0
+    return spectrum, sigma * math.sqrt(math.pi) / dt
+
+
+def _shape_correlation(env: np.ndarray, sigma: float, dt: float) -> float:
+    """Peak normalized cross-correlation of ``env`` with the incident
+    envelope (``_incident_envelope``) on the same grid."""
+    n = len(env)
+    spectrum, energy = _incident_envelope(n, sigma, dt)
+    cross = np.fft.rfft(env)
+    cross[:len(spectrum)] *= spectrum  # real: its own conjugate
+    cross[len(spectrum):] = 0.0
+    corr = np.fft.irfft(cross, n)
+    return float(corr.max() / math.sqrt(float(np.sum(env ** 2)) * energy))
 
 
 def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
@@ -301,42 +356,64 @@ def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
         )
 
 
+def _fixed_angle(scenario: Scenario, channel: Channel,
+                 omegas: np.ndarray) -> np.ndarray:
+    """The channel coefficient of the fixed-angle drive at the bin
+    frequencies ``omegas``: alpha and beta are the carrier's scaled by
+    omega/omega_0, and transmission is relative to the carrier's gap factor
+    e^{i beta_0 d}."""
+    wv = wavevectors(scenario)
+    beta0, scale = cmath.sqrt(wv.k_z_gap_sq), omegas / scenario.omega
+    return _coefficient(scenario, wv.k_z_prism * scale, beta0 * scale, channel,
+                        beta_ref=beta0)
+
+
 def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
-    """(t, step, incident analytic signal, output analytic signal, carrier
-    factor) of one channel at fixed incidence angle, on the pulse grid.
+    """(t, step, output analytic signal, its envelope, carrier factor, peak
+    delay, peak ratio) of one channel at fixed incidence angle, on the pulse
+    grid.
 
     Transmission is formed relative to the carrier's gap factor
     e^{i beta_0 d}, which the carrier factor holds (1 for reflection): the
     true output is the returned one times its conjugate, and may underflow
     where the returned one does not.
+
+    Only the output is synthesized.  The incident envelope peaks at sample
+    n/2 (t = 0), and the delay and the ratio of the peaks are measured on
+    the envelope at the three samples around each peak, by the same direct
+    sums over the incident band and the filtered band (``_near_peak``):
+    where the two bands are equal, as at d = 0, the delay is exactly 0.0
+    and the ratio exactly 1.0.
     """
     _check_quasi_monochromatic(pulse)
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
-    dt = _step(pulse, _DT_FACTOR)
+    n, dt = len(t), _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
-    # on the fixed-angle drive alpha and beta are proportional to omega
-    w0, wv = scenario.omega, wavevectors(scenario)
-    alpha0, beta0 = wv.k_z_prism, cmath.sqrt(wv.k_z_gap_sq)
-
-    def coefficient(omegas):
-        if channel is Channel.TRANSMISSION:
-            # e^{i(beta - beta0) d} is largest on the band's lowest bin,
-            # the first block's first; e^709.78 is the largest double
-            growth = beta0.imag * scenario.d * (1 - omegas[0] / w0)
-            if not growth < 709:
-                raise GridGuardError(
-                    "gap too wide for the pulse synthesis: transmission "
-                    f"varies by e^{growth:.3g} across the pulse band, past "
-                    "double range")
-        scale = omegas / w0
-        return _coefficient(scenario, alpha0 * scale, beta0 * scale, channel,
-                            beta_ref=beta0)
-
-    analytic_out = _analytic(pulse, len(t), dt, coefficient)
-    analytic_in = _analytic(pulse, len(t), dt)
+    lo, omegas, band = _one_sided(pulse, n, dt)
+    wv = wavevectors(scenario)
+    beta0 = cmath.sqrt(wv.k_z_gap_sq)
+    if channel is Channel.TRANSMISSION:
+        # on the fixed-angle drive beta is proportional to omega, so
+        # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
+        # is the largest double
+        growth = beta0.imag * scenario.d * (1 - omegas[0] / scenario.omega)
+        if not growth < 709:
+            raise GridGuardError(
+                "gap too wide for the pulse synthesis: transmission "
+                f"varies by e^{growth:.3g} across the pulse band, past "
+                "double range")
+    # conjugate: physical coefficients are defined for e^{-i omega t}
+    filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel, omegas)))
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[lo:lo + len(band)] = filtered
+    analytic_out = np.fft.ifft(spectrum, out=spectrum)
+    env_out = np.abs(analytic_out)
+    peak_out, value_out = _peak(t, dt, lo, filtered, int(np.argmax(env_out)))
+    peak_in, value_in = _peak(t, dt, lo, band, n // 2)
     carrier = (cmath.exp(1j * beta0 * scenario.d)
                if channel is Channel.TRANSMISSION else 1.0)
-    return t, dt, analytic_in, analytic_out, carrier
+    return (t, dt, analytic_out, env_out, carrier, peak_out - peak_in,
+            value_out / value_in)
 
 
 def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
@@ -349,17 +426,16 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     measured at any gap width; the series and ``peak_amplitude`` are the
     true output, which underflows to 0.0 past a few metres.
     """
-    t, dt, analytic_in, analytic_out, carrier = _propagated(
+    t, dt, analytic_out, env_out, carrier, peak_time, peak_ratio = _propagated(
         scenario, pulse, channel)
-    env_in, env_out = np.abs(analytic_in), np.abs(analytic_out)
     if env_out.max() ** 2 == 0.0:
         raise GridGuardError(f"the {channel.value} envelope squared underflows "
                              "to 0.0 at every sample: no width or shape to measure")
     report = PulseReport(
-        peak_time=_peak_time(t, dt, env_out) - _peak_time(t, dt, env_in),
+        peak_time=peak_time,
         fwhm=_fwhm(t, env_out),
-        shape_correlation=_shape_correlation(env_out, env_in),
-        peak_amplitude=float(env_out.max() / env_in.max()) * abs(carrier),
+        shape_correlation=_shape_correlation(env_out, pulse.sigma, dt),
+        peak_amplitude=peak_ratio * abs(carrier),
     )
     series = TimeSeries(t_samples=t,
                         values=(analytic_out * carrier.conjugate()).real,
@@ -378,11 +454,7 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec) -> float:
     t = 1 exactly without a gap, so the closed-prism peak time is exactly
     0.0 and only the gapped pulse is synthesized.
     """
-    t, dt, analytic_in, analytic_out, _ = _propagated(
-        scenario, pulse, Channel.TRANSMISSION)
-    gapped_peak = (_peak_time(t, dt, np.abs(analytic_out))
-                   - _peak_time(t, dt, np.abs(analytic_in)))
-    return 0.0 - gapped_peak
+    return 0.0 - _propagated(scenario, pulse, Channel.TRANSMISSION)[5]
 
 
 def front_causality_check(scenario: Scenario, pulse: PulseSpec,

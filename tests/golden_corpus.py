@@ -9,8 +9,9 @@ of a fresh interpreter shows them, but without the file path, so the
 corpus does not depend on where the package is installed.
 
 ``tests/test_golden.py`` replays the corpus.  A change that moves output
-bytes lists them first, one line per moved field of each moved case, and
-then regenerates the corpus and names the moved bytes in its change log:
+bytes lists them first, each moved case with one line per moved value or
+output line, and then regenerates the corpus and names the moved bytes in
+its change log:
 
     PYTHONPATH=src python tests/golden_corpus.py --diff
     PYTHONPATH=src python tests/golden_corpus.py
@@ -24,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -206,20 +208,16 @@ def case_id(argv: list[str], config=None) -> str:
     return " ".join(argv) + ("" if config is None else f" {json.dumps(config)}")
 
 
-def _first_moved(old: list, new: list) -> str:
-    """The first line where two recorded line lists differ, as old -> new."""
-    for i in range(max(len(old), len(new))):
-        a = old[i] if i < len(old) else None
-        b = new[i] if i < len(new) else None
-        if a != b:
-            return f"line {i + 1}: {a!r} -> {b!r}"
-    return "unchanged"
+def _moved_lines(old: list, new: list) -> list[str]:
+    """Each line where two recorded line lists differ, as old -> new."""
+    return [f"line {i + 1}: {a!r} -> {b!r}" for i, (a, b) in enumerate(
+        itertools.zip_longest(old, new)) if a != b]
 
 
 def diff() -> list[str]:
     """Replay every case against the recorded corpus without rewriting it:
     for each case whose exit code, stdout, stderr or ``--out`` hash moved,
-    the case and the first moved line of each moved field."""
+    the case and every moved line of each moved field."""
     data = json.loads(CORPUS.read_text(encoding="utf-8"))
     recorded = {case_id(c["argv"], c.get("config")): c for c in data["cases"]}
     report = []
@@ -234,10 +232,11 @@ def diff() -> list[str]:
                 f"  {field}: {old.get(field)!r} -> {new.get(field)!r}"
                 for field in ("exit", "out_sha256") if old.get(field) != new.get(field)
             ] + [
-                f"  {field} {_first_moved(a, b)}" for field, a, b in (
+                f"  {field} {line}" for field, a, b in (
                     ("stdout", old["stdout"], new["stdout"]),
                     ("stderr", old["stderr"].splitlines(keepends=True),
-                     new["stderr"].splitlines(keepends=True))) if a != b
+                     new["stderr"].splitlines(keepends=True)))
+                for line in _moved_lines(a, b)
             ]
             if len(moved) > 1:
                 report.append("\n".join(moved))

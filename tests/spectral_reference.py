@@ -90,3 +90,25 @@ def analytic_envelope(values: np.ndarray) -> np.ndarray:
     spectrum = np.fft.fft(np.asarray(values, dtype=float))
     pos = np.fft.fftfreq(n, 1.0) > 0
     return np.abs(np.fft.ifft(np.where(pos, 2.0 * spectrum, 0.0)))
+
+
+def exact_peak(t: np.ndarray, dt: float, lo: int, band: np.ndarray,
+               j: int) -> tuple[float, float]:
+    """``wavesynth._peak`` at 40 digits: the envelope, times n, at samples
+    j - 1, j and j + 1 of the analytic signal whose spectrum is ``band`` on
+    bins lo, lo + 1, ..., as sums of the double band times exact phases
+    e^{2 pi i k m/n}, and the parabola through them.  Returns (time, the
+    envelope at j)."""
+    import mpmath as mp
+
+    n = len(t)
+    with mp.workdps(40):
+        env = []
+        for m in (j - 1, j, j + 1):
+            total = mp.mpc(0)
+            for k, value in enumerate(band, start=lo):
+                total += mp.mpc(complex(value)) * mp.expjpi(mp.mpf(2 * (k * m % n)) / n)
+            env.append(abs(total))
+        y0, y1, y2 = env
+        peak = mp.mpf(float(t[j])) + mp.mpf(dt) / 2 * (y0 - y2) / (y0 - 2 * y1 + y2)
+        return float(peak), float(y1)

@@ -44,3 +44,18 @@ def test_diff_names_each_moved_field(tmp_path, monkeypatch):
         f"attenuation\n  exit: 3 -> 0\n  stdout line 1: 'moved\\n' -> {real_first!r}",
         "energy\n  not in the corpus",
     ]
+
+
+def test_diff_lists_every_moved_line(tmp_path, monkeypatch):
+    # a pulse report moves on up to four lines; each is listed
+    case = next(dict(c) for c in CORPUS_DATA["cases"] if c["argv"] == ["pulse"])
+    real = case["stdout"]
+    case.update(stdout=[real[0], "moved\n", *real[2:4], "also moved\n", *real[5:]])
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"cases": [case]}), encoding="utf-8")
+    monkeypatch.setattr(golden_corpus, "CORPUS", corpus)
+    monkeypatch.setattr(golden_corpus, "CASES", [(["pulse"], None)])
+    assert golden_corpus.diff() == [
+        f"pulse\n  stdout line 2: 'moved\\n' -> {real[1]!r}"
+        f"\n  stdout line 5: 'also moved\\n' -> {real[4]!r}",
+    ]

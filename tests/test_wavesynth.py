@@ -18,12 +18,13 @@ from evanesce import (
 from evanesce import scattering, wavesynth
 from evanesce.scattering import _coefficient, _normal_wavenumbers
 from evanesce.wavesynth import (
-    _BLOCK, _analytic, _one_sided,
+    _BLOCK, _analytic, _fixed_angle, _incident_envelope, _one_sided, _peak,
     _shape_correlation, _smooth_step, _step, sample_pulse, time_grid,
 )
 from conftest import HEADLINE, random_scenario
 from spectral_reference import (
-    analytic_envelope, apply_channel, filtered_analytic, gaussian_spectrum,
+    analytic_envelope, apply_channel, exact_peak, filtered_analytic,
+    gaussian_spectrum,
 )
 
 PULSE = PulseSpec(fwhm=16e-9, carrier=9.15e9)
@@ -118,13 +119,17 @@ class TestPulsePropagation:
 
     @pytest.mark.parametrize("d", [0.01, 0.04, 1.0])
     def test_shape_correlation_matches_complex_transforms(self, headline, d):
-        # the real transforms sum in another order: a few ulps of 1 apart
-        t, _, analytic_in, analytic_out, _ = wavesynth._propagated(
+        # against complex transforms of the output envelope and of the
+        # sampled closed-form incident envelope: the real transforms and the
+        # closed-form spectrum and sum of squares round in another order, a
+        # few ulps of 1 apart
+        t, dt, _, env_out, *_ = wavesynth._propagated(
             replace(headline, d=d), PULSE, Channel.TRANSMISSION)
-        env_out, env_in = np.abs(analytic_out), np.abs(analytic_in)
+        env_in = np.exp(-t ** 2 / (2 * PULSE.sigma ** 2))
         corr = np.fft.ifft(np.fft.fft(env_out) * np.conj(np.fft.fft(env_in))).real
         want = corr.max() / math.sqrt(np.sum(env_out ** 2) * np.sum(env_in ** 2))
-        assert abs(_shape_correlation(env_out, env_in) - want) <= 4 * np.finfo(float).eps
+        assert abs(_shape_correlation(env_out, PULSE.sigma, dt) - want) \
+            <= 4 * np.finfo(float).eps
 
     def test_bandwidth_guard(self, headline):
         with pytest.raises(GridGuardError):
@@ -137,9 +142,9 @@ class TestPulsePropagation:
     def test_fixed_grid(self, headline):
         series, _ = propagate_pulse(headline, PULSE)
         assert len(series.t_samples) == len(series.values) == 65536
-        t, dt, analytic_in, analytic_out, _ = wavesynth._propagated(
+        t, dt, analytic_out, env_out, *_ = wavesynth._propagated(
             headline, PULSE, Channel.TRANSMISSION)
-        assert len(t) == len(analytic_in) == len(analytic_out) == 65536
+        assert len(t) == len(analytic_out) == len(env_out) == 65536
         assert dt == 1 / (16 * PULSE.carrier)
 
     def test_reflection_degenerate_at_zero_gap(self, headline):
@@ -287,6 +292,78 @@ class TestClosedFormSpectrum:
             n, 1 / (dt_factor * pulse.carrier))[1:(n + 1) // 2])
 
 
+class TestIncidentClosedForm:
+    """The incident pulse is not synthesized.  Its envelope, the envelope's
+    spectrum and its sum of squares are closed forms, which the FFT path
+    reproduces to round-off."""
+
+    # the inverse FFT's round-off grows with the grid: 6.8e-16, 7.9e-15 and
+    # 5.7e-13 on 2^12, 2^16 and 2^22 samples, where the closed form is exact
+    @pytest.mark.parametrize("cycles, bound", [(10.001, 1e-14), (150, 1e-14),
+                                               (1e4, 1e-12)])
+    def test_synthesized_envelope(self, cycles, bound):
+        pulse = PulseSpec(fwhm=cycles / 9.15e9, carrier=9.15e9)
+        t = time_grid(pulse, 16, 16)
+        n, dt = len(t), _step(pulse, 16)
+        lo, _, band = _one_sided(pulse, n, dt)
+        spectrum = np.zeros(n, dtype=complex)
+        spectrum[lo:lo + len(band)] = band
+        env = np.abs(np.fft.ifft(spectrum, out=spectrum))
+        del spectrum
+        assert np.max(np.abs(env - np.exp(-t ** 2 / (2 * pulse.sigma ** 2)))) <= bound
+
+    @pytest.mark.parametrize("cycles", [10.001, 150, 1e4])
+    def test_spectrum_and_sum_of_squares(self, cycles):
+        pulse = PulseSpec(fwhm=cycles / 9.15e9, carrier=9.15e9)
+        t = time_grid(pulse, 16, 16)
+        n, dt = len(t), _step(pulse, 16)
+        samples = np.exp(-t ** 2 / (2 * pulse.sigma ** 2))
+        del t
+        spectrum, energy = _incident_envelope(n, pulse.sigma, dt)
+        want = np.fft.rfft(samples)
+        live = len(spectrum)
+        assert 0 < live < len(want)
+        error = max(np.max(np.abs(spectrum - want[:live])),
+                    np.max(np.abs(want[live:])))
+        assert error <= 1e-13 * np.max(np.abs(want))
+        assert energy == pytest.approx(float(np.sum(samples ** 2)), rel=1e-15, abs=0)
+
+
+class TestPeakSums:
+    """``_peak`` against the same direct sums and parabola at 40 digits.
+
+    The envelope samples of a transform round at ~1e-16 of the peak, and
+    the parabola's offset divides their difference by a curvature of
+    (dt/sigma)^2 ~ 1e-6 of the peak: 3.8e-10 ps per ulp, the floor of
+    about 1e-9 ps that the transforms gave.  ``_peak`` forms the slope and
+    curvature from small sums instead; measured within 7.5e-25 s here."""
+
+    @pytest.mark.parametrize("d, polarization, channel", [
+        (0.0, Polarization.TE, Channel.TRANSMISSION),
+        (0.01, Polarization.TE, Channel.TRANSMISSION),  # delay 4.29 ps
+        (0.04, Polarization.TM, Channel.REFLECTION),
+        (0.4, Polarization.TE, Channel.TRANSMISSION),   # delay ~1e-13 ps
+    ])
+    def test_against_exact_sums(self, d, polarization, channel):
+        s = Scenario(**{**HEADLINE, "d": d}, polarization=polarization)
+        t = time_grid(PULSE, 16, 16)
+        n, dt = len(t), _step(PULSE, 16)
+        lo, omegas, band = _one_sided(PULSE, n, dt)
+        filtered = np.multiply(band, np.conj(_fixed_angle(s, channel, omegas)))
+        for spectrum in (band, filtered):
+            for j in (n // 2 - 1, n // 2, n // 2 + 1):
+                time, value = _peak(t, dt, lo, spectrum, j)
+                want_time, want_value = exact_peak(t, dt, lo, spectrum, j)
+                assert abs(time - want_time) <= 2e-24  # 2e-12 ps
+                assert value == pytest.approx(want_value, rel=1e-15)
+
+    def test_incident_peak_is_exactly_zero(self):
+        t = time_grid(PULSE, 16, 16)
+        n, dt = len(t), _step(PULSE, 16)
+        lo, _, band = _one_sided(PULSE, n, dt)
+        assert _peak(t, dt, lo, band, n // 2)[0] == 0.0
+
+
 def equivalence_cases(polarization, fwhm_cycles):
     """The headline pulse, then five random tunneling scenarios with a
     pulse of fwhm_cycles carrier cycles."""
@@ -364,19 +441,26 @@ class TestReferenceEquivalence:
         assert got.tobytes() == want.tobytes()
 
 
+def counted_transforms(monkeypatch):
+    """The numpy FFT calls made from here on, as (name, transform length);
+    the length of an ``irfft`` is its real output's."""
+    calls = []
+    for name in ("fft", "rfft", "ifft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(a, n=None, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, len(a) if n is None else n))
+            return _real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestSavedWork:
     """Counts of the transforms and propagations the outputs need."""
 
     def test_front_causality_transforms(self, headline, monkeypatch):
-        calls = []
-        for name in ("fft", "rfft", "ifft", "irfft"):
-            real = getattr(np.fft, name)
-
-            def counted(a, *args, _name=name, _real=real, **kwargs):
-                calls.append((_name, len(a)))
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = counted_transforms(monkeypatch)
         pulse = front_pulse()
         n = len(time_grid(pulse, 16, 64))
         front_causality_check(headline, pulse)
@@ -384,6 +468,31 @@ class TestSavedWork:
         inverse = [c for c in calls if c[0] in ("ifft", "irfft")]
         assert len(forward) == 1
         assert inverse == [("ifft", n)]
+
+    def test_pulse_transforms(self, headline, monkeypatch):
+        # only the output is synthesized: the incident envelope's peak, its
+        # spectrum and its sum of squares are closed forms or direct sums
+        calls = counted_transforms(monkeypatch)
+        spectra = []
+        real = wavesynth._one_sided
+
+        def counted(*args):
+            spectra.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(wavesynth, "_one_sided", counted)
+        n = len(time_grid(PULSE, 16, 16))
+        for channel in Channel:
+            calls.clear()
+            spectra.clear()
+            propagate_pulse(headline, PULSE, channel)
+            assert calls == [("ifft", n), ("rfft", n), ("irfft", n)]
+            assert len(spectra) == 1
+        calls.clear()
+        spectra.clear()
+        differential_delay(headline, PULSE)
+        assert calls == [("ifft", n)]
+        assert len(spectra) == 1
 
     def test_coefficient_only_on_the_band(self, headline, monkeypatch):
         # the headline pulse's spectrum is nonzero on 573 of 32 767 bins
