@@ -332,11 +332,11 @@ class TestIncidentClosedForm:
 class TestPeakSums:
     """``_peak`` against the same direct sums and parabola at 40 digits.
 
-    The envelope samples of a transform round at ~1e-16 of the peak, and
-    the parabola's offset divides their difference by a curvature of
-    (dt/sigma)^2 ~ 1e-6 of the peak: 3.8e-10 ps per ulp, the floor of
-    about 1e-9 ps that the transforms gave.  ``_peak`` forms the slope and
-    curvature from small sums instead; measured within 7.5e-25 s here."""
+    Envelope samples rounded at ~1e-16 of the peak would move the
+    parabola's offset by 3.8e-10 ps per ulp, since it divides their
+    difference by a curvature of (dt/sigma)^2 ~ 1e-6 of the peak.  ``_peak``
+    forms the slope and curvature from small sums instead; within 7.5e-25 s
+    of the 40-digit sums on these bands."""
 
     @pytest.mark.parametrize("d, polarization, channel", [
         (0.0, Polarization.TE, Channel.TRANSMISSION),
