@@ -54,6 +54,7 @@ _PLAIN = [
     ["attenuation", "--n", "1.6", "--theta-deg", "38.68218745348944"],
     ["attenuation", "--d-mm", "1e308"],
     ["attenuation", "--n", "4", "--theta-deg", "89", "--f-ghz", "40", "--d-mm", "1e308"],
+    ["attenuation", "--f-ghz", "1e-163"],
     ["hartman"],
     ["hartman", "--with-version"],
     ["hartman", "--polarization", "TM"],
@@ -98,6 +99,8 @@ _PLAIN = [
     ["pulse", "--theta-deg", "89.9999999"],
     ["pulse", "--d-mm", "200"],
     ["pulse", "--channel", "reflection", "--polarization", "TM"],
+    ["pulse", "--channel", "reflection", "--fwhm-ns", "4", "--d-mm", "1e-160"],
+    ["pulse", "--d-mm", "100000"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
@@ -127,6 +130,7 @@ _PLAIN = [
     ["energy", "--polarization", "TM", "--d-mm", "1e-300"],
     ["energy", "--d-mm", "1e-4"],
     ["energy", "--polarization", "TM", "--d-mm", "1e-4"],
+    ["energy", "--f-ghz", "1e-163"],
     ["causality"],
     ["causality", "--polarization", "TM"],
     ["causality", "--fwhm-ns", "1e12"],
