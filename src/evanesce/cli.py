@@ -162,11 +162,12 @@ def _write_csv(text: str, args: argparse.Namespace) -> None:
 
 def _emit_with_out(payload: dict, args: argparse.Namespace,
                    columns: tuple[str, str], arrays) -> int:
-    """JSON checked, then ``arrays`` to ``--out``, then stdout: a failed run
-    writes nothing."""
+    """JSON checked, then the columns ``arrays()`` returns to ``--out``, then
+    stdout: a failed run writes nothing, and a run without ``--out`` forms
+    no columns."""
     text = _json(payload, args)
     if args.out is not None:
-        _write_csv(to_csv(columns, arrays, "%r"), args)
+        _write_csv(to_csv(columns, arrays(), "%r"), args)
     sys.stdout.write(text)
     return 0
 
@@ -232,7 +233,8 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
         "spatial_extent_m": pulse_spatial_extent(pulse, scenario.c),
         "quasi_static_ratio": ratio if scenario.d > 0 else None,
         "quasi_static": ratio > 10,
-    }, args, ("t_ns", "field"), (series.t_samples * 1e9, series.values))
+    }, args, ("t_ns", "field"),
+        lambda: (series.t_samples * 1e9, series.values))
 
 
 def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
@@ -247,7 +249,8 @@ def cmd_beam(args: argparse.Namespace, scenario: Scenario) -> int:
         "centroid_cm": profile.centroid_shift * 100,
         "centroid_shift_cm": profile.centroid_shift * 100,
         "gh_shift_cm": goos_hanchen_shift(scenario, channel) * 100,
-    }, args, ("x_cm", "intensity"), (profile.x_samples * 100, profile.intensity))
+    }, args, ("x_cm", "intensity"),
+        lambda: (profile.x_samples * 100, profile.intensity))
 
 
 def cmd_energy(args: argparse.Namespace, scenario: Scenario) -> int:

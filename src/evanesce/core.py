@@ -9,7 +9,8 @@ field is evanescent with decay constant
     kappa = (2 pi f / c) * sqrt(n^2 sin^2(theta) - 1)   [1/m]
 
 All quantities are SI.  Angles are radians internally; degree conversion
-belongs to the CLI layer.  A nonzero gap width is a normal double [m].
+belongs to the CLI layer.  A nonzero gap width is a normal double [m], and
+so is the carrier's (omega/c)^2 [1/m^2].
 """
 
 from __future__ import annotations
@@ -88,6 +89,11 @@ class Scenario:
             raise ValueError(f"gap width must be 0 or >= {_MIN_GAP} m, got d={self.d}")
         if self.c <= 0:
             raise ValueError(f"speed of light must be positive, got c={self.c}")
+        k0 = self.omega / self.c
+        if not sys.float_info.min <= k0 * k0 <= sys.float_info.max:
+            raise ValueError(
+                "carrier frequency out of range: (omega/c)^2 must be a normal "
+                f"double, got {k0 * k0!r} at f={self.f}")
         object.__setattr__(self, "polarization", Polarization(self.polarization))
 
     @property
@@ -196,7 +202,8 @@ def pulse_spatial_extent(pulse: PulseSpec, c: float = C_VACUUM) -> float:
 def _radicand(scenario: Scenario) -> float:
     """n^2 sin^2(theta) - 1, kappa's radicand: the one test of the regime,
     evanescent iff > 0.  Decided on the radicand itself, since kappa and
-    ``k_z_gap_sq`` scale it by omega/c and underflow at tiny carriers."""
+    ``k_z_gap_sq`` scale it by omega/c and (omega/c)^2, and the latter
+    underflows at the lowest carriers just past the critical angle."""
     return scenario.n * scenario.n * math.sin(scenario.theta) ** 2 - 1.0
 
 

@@ -8,20 +8,30 @@ evolve as e^{i(k_x x - omega t)}, while the FFT synthesizes e^{+i omega t}
 components, so coefficients are conjugated on the way in.  The
 closed-prism reference for delays is the incident envelope (t = 1).
 
-Only the output pulse is synthesized.  Under the quasi-monochromatic guard
-(fwhm * carrier > 10) the incident analytic signal is
-e^{-t^2/2 sigma^2} e^{i omega_0 t} to within e^{-(omega_0 sigma)^2/2}
-< 1e-154 of its peak, so the incident envelope peaks at t = 0, and its
-spectrum and sum of squares, which the shape correlation needs, are
-closed forms (``_incident_envelope``).  A peak is a parabola through three
-envelope samples formed by direct sums over the band (``_peak``), the
-incident's at sample n/2 and the output's around the largest sample of
-its envelope.  The same sums on equal bands (d = 0) give a delay of
-exactly 0.0 and a peak ratio of exactly 1.0.  Each parabola's slope and
-curvature come from small sums rather than from differences of nearly
-equal envelope samples, so the peak delay rounds below 1e-12 ps.  Samples
-rounded at ~1e-16 of the peak, three of which differ by ~1e-6 of it,
-would put that floor at about 1e-9 ps.
+A pulse is measured on its band, not synthesized.  Under the
+quasi-monochromatic guard (fwhm * carrier > 10) the incident analytic
+signal is e^{-t^2/2 sigma^2} e^{i omega_0 t} to within
+e^{-(omega_0 sigma)^2/2} < 1e-154 of its peak, so the incident envelope is
+that closed-form Gaussian, peaking at t = 0.  The output's band of L bins
+(573 for the default pulse), folded by bin mod m into m samples, m the
+power of two at or above L, gives by one inverse FFT the envelope at every
+(n/m)-th carrier-rate sample, exact in exact arithmetic (``_coarse``): 1024
+samples for 65 536, some 20 to the sigma.  Any single carrier-rate sample
+is a direct sum over the band (``_terms``), with its phases reduced as
+integers.  A peak is a parabola through three envelope samples formed by
+such sums (``_peak``), the incident's at sample n/2 and the output's
+climbed to from the coarse samples' parabola.  The same sums on equal
+bands (d = 0) give a delay of exactly 0.0 and a peak ratio of exactly 1.0.
+Each parabola's slope and curvature come from small sums rather than from
+differences of nearly equal envelope samples, so the peak delay rounds
+below 1e-12 ps.  Samples rounded at ~1e-16 of the peak, three of which
+differ by ~1e-6 of it, would put that floor at about 1e-9 ps.  The width
+walks from the coarse samples to the carrier-rate samples around each
+half-maximum crossing (``_fwhm``), and the shape correlation takes Riemann
+sums over the coarse samples at carrier-rate lags (``_shape_correlation``).
+Both are measured on the band scaled by a power of two, so a band of
+1e-300 is measured as one of 1.  The carrier-rate series is synthesized
+only when it is read (``TimeSeries``).
 
 Where the one-sided spectrum comes from is the one branch of the
 synthesis.  A plain Gaussian pulse takes its closed-form DFT, evaluated
@@ -32,9 +42,9 @@ round-off floor of ~1e-16 of the peak bin, which a wide gap (kappa
 proportional to omega) would amplify above the pulse.  A pulse with a
 front takes the real FFT (``rfft``) of its samples on every positive bin,
 because its smooth turn-on has no closed form.  Either way the channel
-coefficient is evaluated on the band alone and the band fills one zeroed
-length-n buffer (see below), so the carrier-rate grid and series keep
-their length.
+coefficient is evaluated on the band alone, and a series, when it is
+read, fills one zeroed length-n buffer with the band (see below), so the
+carrier-rate grid and series keep their length.
 The grid step is the one ``time_grid`` multiplies by, not t[1] - t[0],
 which misses it by a rounding of (1 - n/2) dt - (-n/2) dt.
 
@@ -68,7 +78,8 @@ the span where it can be nonzero (after the front, within 38.7 sigma,
 past which the Gaussian underflows to 0.0), writing zeros elsewhere.
 
 Each synthesis holds one length-n complex buffer, over which the inverse
-FFT runs in place.  The pulse's band is under 1 % of its buffer.  In the
+FFT runs in place.  The pulse's band is under 1 % of its buffer, which
+only a read of its series allocates.  In the
 front check (``_analytic``) the band is written into the buffer and
 released, the coefficient is multiplied into it block by block, and the
 bin frequencies and the time grid are released before the transform
@@ -77,15 +88,17 @@ transform runs, and the transform's own scratch, about twice the buffer
 (measured as the resident-set growth of one in-place inverse FFT of 2^18
 and 2^19 samples), is the floor of the synthesis.  The largest traced
 allocation is the buffer, the band and the bin frequencies while the band
-is written into the buffer: about 1.75 buffers.  An output that underflows
-to 0.0 at every sample has nothing to measure and raises GridGuardError.
+is written into the buffer: about 1.75 buffers.  A beam whose intensity
+underflows to 0.0 at every sample, or a pulse whose band is 0.0 at every
+bin, has nothing to measure and raises GridGuardError.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,11 +136,26 @@ class GridGuardError(ValueError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled real field of one channel."""
+    """Uniformly sampled real field of one channel.
+
+    ``values`` is synthesized on first read: the channel's band, placed in
+    a zeroed buffer as long as ``t_samples``, one inverse FFT, and the
+    carrier's gap factor applied.  A report that does not read it runs no
+    transform of that length.
+    """
 
     t_samples: np.ndarray
-    values: np.ndarray
     channel: Channel
+    _band_start: int = field(repr=False)
+    _band: np.ndarray = field(repr=False)
+    _carrier: complex = field(repr=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        spectrum = np.zeros(len(self.t_samples), dtype=complex)
+        spectrum[self._band_start:self._band_start + len(self._band)] = self._band
+        return (np.fft.ifft(spectrum, out=spectrum)
+                * self._carrier.conjugate()).real
 
 
 @dataclass(frozen=True)
@@ -144,11 +172,16 @@ class PulseReport:
     1.4e-13 and 2.8e-14 at 90 m, where the same parabola through exact
     sums reads below 2.7e-13 ps in magnitude and tau_0 below 2e-15 ps.
     A parabola through the inverse FFT's envelope samples would round at
-    about 1e-9 ps.  At 100 m the band's transmission overflows and no peak is measured.
-    ``fwhm`` is measured on the intensity envelope; ``shape_correlation``
-    is the peak normalized cross-correlation of output and incident
-    envelopes; ``peak_amplitude`` is the output/input peak-envelope ratio,
-    taken at the middle samples of the two parabolas.
+    about 1e-9 ps.  From 100 m the band's transmission overflows and no
+    peak is measured.  ``fwhm`` is measured on the intensity envelope,
+    with each half-maximum crossing interpolated between the two
+    carrier-rate samples around it; ``shape_correlation`` is the peak
+    normalized cross-correlation of output and incident envelopes over
+    carrier-rate lags, at most 1; ``peak_amplitude`` is the output/input
+    peak-envelope ratio, taken at the middle samples of the two parabolas.
+    All four are measured on the band, without a carrier-rate synthesis,
+    and the width, the correlation and the delay do not depend on the
+    band's scale, down to reflection at a gap of 1e-300 mm.
     """
 
     peak_time: float
@@ -208,19 +241,29 @@ def _step(pulse: PulseSpec, dt_factor: int) -> float:
 def time_grid(pulse: PulseSpec, dt_factor: int, span_factor: int) -> np.ndarray:
     """Uniform grid: step 1/(dt_factor * carrier), span span_factor * fwhm,
     rounded up to a power-of-two sample count (wrap-around padding)."""
+    return _grid(_grid_size(pulse, dt_factor, span_factor),
+                 _step(pulse, dt_factor))
+
+
+def _grid_size(pulse: PulseSpec, dt_factor: int, span_factor: int) -> int:
+    """The sample count of ``time_grid``."""
     if dt_factor < 8:
         raise GridGuardError(
             f"dt_factor must be >= 8 (Nyquist margin 4x carrier), got {dt_factor}"
         )
-    dt = _step(pulse, dt_factor)
-    n_req = span_factor * pulse.fwhm / dt
+    n_req = span_factor * pulse.fwhm / _step(pulse, dt_factor)
     _require_array_size(2 * n_req, "samples")  # the power of two < 2 n_req
-    return _grid(1 << (math.ceil(n_req) - 1).bit_length(), dt)
+    return 1 << (math.ceil(n_req) - 1).bit_length()
 
 
 def _grid(n: int, dt: float) -> np.ndarray:
     """The n samples of step ``dt`` with sample n/2 at t = 0."""
-    return (np.arange(n) - n // 2) * dt
+    return np.arange(-(n // 2), n - n // 2) * dt
+
+
+def _bin_frequencies(n: int, dt: float, lo: int, hi: int) -> np.ndarray:
+    """2 pi ``np.fft.rfftfreq(n, dt)[lo:hi]``, formed on those bins only."""
+    return 2 * math.pi * (np.arange(lo, hi) * (1.0 / (n * dt)))
 
 
 def _one_sided(pulse: PulseSpec, n: int, dt: float):
@@ -238,12 +281,12 @@ def _one_sided(pulse: PulseSpec, n: int, dt: float):
     if pulse.front_time is not None:
         band = np.fft.rfft(sample_pulse(pulse, _grid(n, dt)))[1:(n + 1) // 2]
         band *= 2.0
-        return 1, 2 * math.pi * np.fft.rfftfreq(n, dt)[1:(n + 1) // 2], band
+        return 1, _bin_frequencies(n, dt, 1, (n + 1) // 2), band
     w0, sigma = 2 * math.pi * pulse.carrier, pulse.sigma
     reach, bin_width = _GAUSS_REACH / sigma, 2 * math.pi / (n * dt)
     lo = max(1, math.ceil((w0 - reach) / bin_width))
     hi = min((n + 1) // 2, math.floor((w0 + reach) / bin_width) + 1)
-    omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)[lo:hi]
+    omegas = _bin_frequencies(n, dt, lo, hi)
     gauss = (np.exp(-((omegas - w0) * sigma) ** 2 / 2)
              + np.exp(-((omegas + w0) * sigma) ** 2 / 2))
     return lo, omegas, (2 * sigma * math.sqrt(math.pi / 2) / dt) * np.where(
@@ -276,101 +319,176 @@ def _analytic(pulse: PulseSpec, n: int, dt: float, coefficient) -> np.ndarray:
     return np.fft.ifft(spectrum, out=spectrum)
 
 
-def _peak(t: np.ndarray, dt: float, lo: int, band: np.ndarray,
-          j: int) -> tuple[float, float]:
-    """(time, envelope times n) of the peak near sample j of the length-n
-    analytic signal whose spectrum is ``band`` on bins lo, lo + 1, ... and 0
-    elsewhere: parabolic interpolation through its envelope at samples
-    j - 1, j and j + 1, evaluated by direct sums over the band.
-
-    The terms of sample j are c_k = band_k e^{2 pi i k j/n}, with k j mod n
-    reduced as an integer to a quarter turn i^q, exact, times a phase of at
-    most pi/4.  Up to a common phase, samples j -/+ 1 are S - (R +/- iQ),
-    with S = sum c_k, R = sum c_k 2 sin^2(phi_k/2), Q = sum c_k sin(phi_k)
-    and phi_k = 2 pi (k - k_c)/n about the bin k_c of the largest term, so
-    that R and Q are small wherever the gap has moved the spectrum's weight
-    within the band.  The envelopes' differences from sample j's are formed
-    from R and Q, so neither the slope nor the curvature of the parabola is
-    a difference of nearly equal envelopes.  A real band at j = n/2 has
-    R + iQ and R - iQ conjugate, and so an envelope symmetric about t = 0 to
-    the last bit.
-    """
-    n = len(t)
+def _terms(n: int, lo: int, band: np.ndarray, j: int) -> np.ndarray:
+    """band_k e^{2 pi i k j/n} on bins k = lo, lo + 1, ...: the terms whose
+    sum is sample j, times n, of the length-n analytic signal whose
+    spectrum is ``band`` there and 0 elsewhere.  k j mod n is reduced as an
+    integer to a quarter turn i^q, exact, times a phase of at most pi/4."""
     eighth = n // 8
     k = np.arange(lo, lo + len(band))
     m = (k * j + eighth) % n - eighth  # k j mod n, in [-n/8, 7n/8)
     quarter = (m + eighth) // (2 * eighth)
-    terms = (band * np.array([1, 1j, -1, -1j])[quarter]
-             * np.exp((m - 2 * eighth * quarter) * (2j * math.pi / n)))
-    phi = (k - k[np.argmax(np.abs(band))]) * (2 * math.pi / n)
-    middle = complex(np.sum(terms))
-    r = complex(np.sum(terms * (2 * np.sin(phi / 2) ** 2)))
-    q = complex(np.sum(terms * np.sin(phi)))
-    y1 = abs(middle)
-    if j == 0 or j == n - 1:
-        return float(t[j]), y1
+    return (band * np.array([1, 1j, -1, -1j])[quarter]
+            * np.exp((m - 2 * eighth * quarter) * (2j * math.pi / n)))
 
-    def rise(u):
-        """|middle - u| - |middle|, from |u|^2 - 2 Re(conj(middle) u)."""
-        return ((u.real ** 2 + u.imag ** 2 - 2 * (middle.conjugate() * u).real)
-                / (abs(middle - u) + y1))
 
-    before, after = rise(r + 1j * q), rise(r - 1j * q)
+def _sample(n: int, lo: int, band: np.ndarray, j: int) -> float:
+    """The envelope, times n, at sample j (see ``_terms``)."""
+    return abs(complex(np.sum(_terms(n, lo, band, j))))
+
+
+def _peak(n: int, dt: float, lo: int, band: np.ndarray,
+          j: int) -> tuple[float, float, int]:
+    """(time, envelope times n, sample) of the envelope's peak, climbed to from
+    sample j, of the length-n analytic signal whose spectrum is ``band`` on
+    bins lo, lo + 1, ... and 0 elsewhere: parabolic interpolation through
+    its envelope at the three samples around the peak, evaluated by direct
+    sums over the band.  Sample i lies at t = (i - n/2) dt.
+
+    The terms c_k of sample j are ``_terms``.  Up to a common phase,
+    samples j -/+ 1 are S - (R +/- iQ), with S = sum c_k,
+    R = sum c_k 2 sin^2(phi_k/2), Q = sum c_k sin(phi_k) and
+    phi_k = 2 pi (k - k_c)/n about the bin k_c of the largest term, so
+    that R and Q are small wherever the gap has moved the spectrum's weight
+    within the band.  The envelopes' differences from sample j's are formed
+    from R and Q, so neither the slope nor the curvature of the parabola is
+    a difference of nearly equal envelopes.  Where a neighbour is higher,
+    the climb moves to it and keeps its direction.  A real band at j = n/2
+    has R + iQ and R - iQ conjugate, and so an envelope symmetric about
+    t = 0 to the last bit.
+    """
+    phi = (np.arange(len(band)) - np.argmax(np.abs(band))) * (2 * math.pi / n)
+    bend, tilt = 2 * np.sin(phi / 2) ** 2, np.sin(phi)
+    step = 0
+    while True:
+        terms = _terms(n, lo, band, j)
+        middle = complex(np.sum(terms))
+        y1 = abs(middle)
+        if j == 0 or j == n - 1:
+            return float((j - n // 2) * dt), y1, j
+
+        def rise(u):
+            """|middle - u| - |middle|, from |u|^2 - 2 Re(conj(middle) u)."""
+            return ((u.real ** 2 + u.imag ** 2
+                     - 2 * (middle.conjugate() * u).real)
+                    / (abs(middle - u) + y1))
+
+        r, q = complex(np.sum(terms * bend)), complex(np.sum(terms * tilt))
+        before, after = rise(r + 1j * q), rise(r - 1j * q)
+        uphill = (-1 if before > max(after, 0.0)
+                  else 1 if after > max(before, 0.0) else 0)
+        if uphill in (0, -step):
+            break
+        j, step = j + uphill, uphill
+    time = (j - n // 2) * dt
     curvature = before + after
     if curvature == 0:
-        return float(t[j]), y1
-    return float(t[j] + 0.5 * dt * (before - after) / curvature), y1
+        return float(time), y1, j
+    return float(time + 0.5 * dt * (before - after) / curvature), y1, j
 
 
-def _fwhm(t: np.ndarray, env: np.ndarray) -> float:
-    intensity = env ** 2
-    half = intensity.max() / 2
-    above = np.flatnonzero(intensity >= half)
-    if len(above) < 2:
+def _climb(value, j: int) -> float:
+    """The local maximum of ``value`` over the integers reached from j by
+    unit steps uphill."""
+    here = value(j)
+    for step in (1, -1):
+        moved = False
+        while (there := value(j + step)) > here:
+            j, here, moved = j + step, there, True
+        if moved:
+            break
+    return here
+
+
+def _coarse(n: int, lo: int, band: np.ndarray) -> np.ndarray:
+    """The envelope, times n, at every (n/m)-th sample of the length-n
+    analytic signal whose spectrum is ``band`` on bins lo, lo + 1, ...,
+    with m the power of two at or above the band's bin count: one inverse
+    FFT of the band folded by bin mod m.  Sample s p (p = n/m) is
+    sum_k band_k e^{2 pi i (k mod m) s/m}, and no two bins share a
+    residue, so the fold only moves the band."""
+    m = 1 << (len(band) - 1).bit_length()
+    folded = np.zeros(m, dtype=complex)
+    folded[np.arange(lo, lo + len(band)) % m] = band
+    return np.abs(np.fft.ifft(folded, norm="forward"))
+
+
+def _edge(intensity, half: float, i: int, step: int, n: int) -> int:
+    """The outermost sample, in the direction ``step``, of the run at or
+    above ``half`` nearest sample i, walked to by unit steps."""
+    while intensity(i) < half:
+        i -= step
+    while 0 <= i + step < n and intensity(i + step) >= half:
+        i += step
+    return i
+
+
+def _fwhm(t: np.ndarray, lo: int, band: np.ndarray, coarse: np.ndarray,
+          j: int) -> float:
+    """Full width at half maximum of the intensity envelope whose peak
+    sample is j.  Each crossing is placed by linear interpolation between
+    the coarse samples (``_coarse``) around it, walked to at the carrier
+    rate by direct sums (``_sample``), and interpolated linearly between
+    the two samples around it.  The coarse samples lie some 20 to the
+    sigma, so the walk is a step or two.
+    """
+    n, m = len(t), len(coarse)
+    stride = n // m
+
+    @functools.cache
+    def intensity(i):
+        return _sample(n, lo, band, i) ** 2
+
+    half = intensity(j) / 2
+    # the coarse sample nearest the peak is above half
+    above = np.flatnonzero(coarse ** 2 >= half)
+
+    def guess(s, outward):
+        """The sample at the crossing between coarse samples s and
+        s + outward, interpolated linearly."""
+        inner, outer = coarse[s] ** 2, coarse[(s + outward) % m] ** 2
+        frac = (inner - half) / (inner - outer) if inner > outer else 0.0
+        return min(max(round((s + outward * frac) * stride), 0), n - 1)
+
+    i0 = _edge(intensity, half, guess(above[0], -1), -1, n)
+    i1 = _edge(intensity, half, guess(above[-1], 1), 1, n)
+    if i0 == i1:
         raise GridGuardError("grid too coarse to resolve the envelope width")
-    i0, i1 = above[0], above[-1]
 
     def cross(j_out, j_in):
-        y0, y1 = intensity[j_out], intensity[j_in]
+        y0, y1 = intensity(j_out), intensity(j_in)
         frac = (half - y0) / (y1 - y0)
         return t[j_out] + frac * (t[j_in] - t[j_out])
 
     left = cross(i0 - 1, i0) if i0 > 0 else t[i0]
-    right = cross(i1 + 1, i1) if i1 < len(t) - 1 else t[i1]
+    right = cross(i1 + 1, i1) if i1 < n - 1 else t[i1]
     return float(right - left)
 
 
-def _incident_envelope(n: int, sigma: float, dt: float):
-    """The ``rfft`` of the incident envelope e^{-t^2/2 sigma^2} sampled at
-    t = (j - n/2) dt, on the bins where it is nonzero, and its sum of
-    squares.
+def _shape_correlation(n: int, coarse: np.ndarray, energy: float, dt: float,
+                       sigma: float, j: int) -> float:
+    """Peak normalized cross-correlation of the output envelope with the
+    incident one, e^{-t^2/2 sigma^2} at t = (i - n/2) dt, over carrier-rate
+    lags, climbing from the lag j - n/2 of the output peak.
 
-    Both are closed forms, by Poisson summation as in ``_one_sided``:
-    (sigma sqrt(2 pi)/dt) e^{-(omega sigma)^2/2} (-1)^k on the bins with
-    omega sigma <= 38.7, past which it underflows to 0.0, and
-    sigma sqrt(pi)/dt.  Under the quasi-monochromatic guard this envelope is
-    the pulse's analytic-signal envelope to within
-    e^{-(omega_0 sigma)^2/2} < 1e-154 of its peak.
+    At each lag the sum over the n samples is the Riemann sum over the m
+    coarse ones (``_coarse``, the envelope times n), which holds it to
+    round-off: a product of Gaussians sampled some 20 times per sigma.  The
+    output's sum of squares is ``energy``/n by Parseval, with ``energy``
+    the band's, and the incident's is the closed form sigma sqrt(pi)/dt.
+    The result is at most 1 by Cauchy-Schwarz; where round-off passes 1,
+    as at d = 0, where the shapes are equal, it is 1.
     """
-    live = min(n // 2 + 1,
-               math.floor(_GAUSS_REACH * n * dt / (2 * math.pi * sigma)) + 1)
-    omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)[:live]
-    spectrum = (sigma * math.sqrt(2 * math.pi) / dt
-                * np.exp(-(omegas * sigma) ** 2 / 2))
-    spectrum[1::2] *= -1.0
-    return spectrum, sigma * math.sqrt(math.pi) / dt
+    m = len(coarse)
+    samples = np.arange(m) * (n // m)
 
+    def overlap(lag):
+        # the incident envelope is periodic in the window, as the FFT's is
+        tau = ((samples - lag) % n - n // 2) * dt
+        return float(np.dot(coarse, np.exp(-tau ** 2 / (2 * sigma ** 2))))
 
-def _shape_correlation(env: np.ndarray, sigma: float, dt: float) -> float:
-    """Peak normalized cross-correlation of ``env`` with the incident
-    envelope (``_incident_envelope``) on the same grid."""
-    n = len(env)
-    spectrum, energy = _incident_envelope(n, sigma, dt)
-    cross = np.fft.rfft(env)
-    cross[:len(spectrum)] *= spectrum  # real: its own conjugate
-    cross[len(spectrum):] = 0.0
-    corr = np.fft.irfft(cross, n)
-    return float(corr.max() / math.sqrt(float(np.sum(env ** 2)) * energy))
+    norm = m * math.sqrt(energy / n * (sigma * math.sqrt(math.pi) / dt))
+    return min(_climb(overlap, j - n // 2) / norm, 1.0)
 
 
 def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
@@ -394,54 +512,67 @@ def _fixed_angle(scenario: Scenario, channel: Channel,
 
 
 def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
-    """(t, step, output analytic signal, its envelope, carrier factor, peak
-    delay, peak ratio) of one channel at fixed incidence angle, on the pulse
-    grid.
+    """(band start, filtered band, carrier factor, scaled band, coarse
+    envelope, output peak sample, peak delay, peak amplitude) of one channel
+    at fixed incidence angle, on the pulse grid.
 
     Transmission is formed relative to the carrier's gap factor
     e^{i beta_0 d}, which the carrier factor holds (1 for reflection): the
-    true output is the returned one times its conjugate, and may underflow
-    where the returned one does not.
+    true output is the filtered band's times its conjugate, and may
+    underflow where the filtered band's does not.
 
-    Only the output is synthesized.  The incident envelope peaks at sample
-    n/2 (t = 0), and the delay and the ratio of the peaks are measured on
-    the envelope at the three samples around each peak, by the same direct
-    sums over the incident band and the filtered band (``_peak``): where
-    the two bands are equal, as at d = 0, the delay is exactly 0.0 and the
-    ratio exactly 1.0.  An output whose envelope squared underflows to 0.0
-    at every sample has no peak, width or shape and raises GridGuardError.
+    Nothing is synthesized at the carrier rate.  The filtered band is
+    scaled by the power of two that brings its largest magnitude into
+    [1/2, 1), so that no sum of squares leaves the normal range, and its
+    envelope is measured on the coarse grid of ``_coarse`` and by direct
+    sums at the carrier rate.  The output peak is climbed to from the
+    coarse samples' parabola.  The incident envelope peaks at sample n/2
+    (t = 0); the delay and the ratio of the peaks are measured on the
+    envelope at the three samples around each peak, by the same direct sums
+    over the incident band and the filtered band (``_peak``): where the two
+    bands are equal, as at d = 0, the delay is exactly 0.0 and the ratio
+    exactly 1.0.  The scale is applied back only to the peak amplitude.
     """
     _check_quasi_monochromatic(pulse)
-    t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
-    n, dt = len(t), _step(pulse, _DT_FACTOR)
+    n, dt = _grid_size(pulse, _DT_FACTOR, _PULSE_SPAN), _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
     lo, omegas, band = _one_sided(pulse, n, dt)
     beta0 = cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
-    if channel is Channel.TRANSMISSION:
-        # on the fixed-angle drive beta is proportional to omega, so
-        # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
-        # is the largest double
-        growth = beta0.imag * scenario.d * (1 - omegas[0] / scenario.omega)
-        if not growth < 709:
-            raise GridGuardError(
-                "gap too wide for the pulse synthesis: transmission "
-                f"varies by e^{growth:.3g} across the pulse band, past "
-                "double range")
-    # conjugate: physical coefficients are defined for e^{-i omega t}
-    filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel, omegas)))
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[lo:lo + len(band)] = filtered
-    analytic_out = np.fft.ifft(spectrum, out=spectrum)
-    env_out = np.abs(analytic_out)
-    if env_out.max() ** 2 == 0.0:
-        raise GridGuardError(f"the {channel.value} envelope squared underflows "
-                             "to 0.0 at every sample: no width or shape to measure")
-    peak_out, value_out = _peak(t, dt, lo, filtered, int(np.argmax(env_out)))
-    peak_in, value_in = _peak(t, dt, lo, band, n // 2)
+    # on the fixed-angle drive beta is proportional to omega, so
+    # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
+    # is the largest double, and alpha_hat times e^growth may overflow
+    # below it
+    growth = (beta0.imag * scenario.d * (1 - omegas[0] / scenario.omega)
+              if channel is Channel.TRANSMISSION else 0.0)
+    with np.errstate(all="ignore"):
+        # conjugate: physical coefficients are defined for e^{-i omega t}
+        filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel,
+                                                          omegas)))
+    if not (growth < 709 and np.isfinite(filtered).all()):
+        raise GridGuardError(
+            "gap too wide for the pulse synthesis: transmission "
+            f"varies by e^{growth:.3g} across the pulse band, past "
+            "double range")
+    largest = float(np.max(np.abs(filtered)))
+    if largest == 0.0:
+        raise GridGuardError(f"the {channel.value} band is 0.0 at every bin: "
+                             "no peak, width or shape to measure")
+    exponent = math.frexp(largest)[1]
+    scaled = np.ldexp(filtered.view(float), -exponent).view(complex)
+    coarse = _coarse(n, lo, scaled)
+    # the coarse peak's parabola puts the carrier-rate peak within a
+    # sample or two of its vertex
+    s = int(np.argmax(coarse))
+    y0, y1, y2 = coarse[s - 1], coarse[s], coarse[(s + 1) % len(coarse)]
+    curvature = y0 - 2 * y1 + y2
+    vertex = s + (0.5 * (y0 - y2) / curvature if curvature else 0.0)
+    j = min(max(round(vertex * (n // len(coarse))), 0), n - 1)
+    peak_out, value_out, j = _peak(n, dt, lo, scaled, j)
+    peak_in, value_in, _ = _peak(n, dt, lo, band, n // 2)
     carrier = (cmath.exp(1j * beta0 * scenario.d)
                if channel is Channel.TRANSMISSION else 1.0)
-    return (t, dt, analytic_out, env_out, carrier, peak_out - peak_in,
-            value_out / value_in)
+    return (lo, filtered, carrier, scaled, coarse, j, peak_out - peak_in,
+            math.ldexp(value_out / value_in, exponent) * abs(carrier))
 
 
 def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
@@ -452,20 +583,22 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     Returns the output time series on the shared grid plus envelope
     measurements referenced to the incident pulse.  The envelope's shape is
     measured at any gap width; the series and ``peak_amplitude`` are the
-    true output, which underflows to 0.0 past a few metres.
+    true output, which underflows to 0.0 past a few metres.  The series'
+    values are synthesized when first read.
     """
-    t, dt, analytic_out, env_out, carrier, peak_time, peak_ratio = _propagated(
-        scenario, pulse, channel)
+    # the grid first: a request too large for memory fails before measuring
+    t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
+    lo, filtered, carrier, band, coarse, j, peak_time, peak_amplitude = \
+        _propagated(scenario, pulse, channel)
     report = PulseReport(
         peak_time=peak_time,
-        fwhm=_fwhm(t, env_out),
-        shape_correlation=_shape_correlation(env_out, pulse.sigma, dt),
-        peak_amplitude=peak_ratio * abs(carrier),
+        fwhm=_fwhm(t, lo, band, coarse, j),
+        shape_correlation=_shape_correlation(
+            len(t), coarse, float(np.vdot(band, band).real),
+            _step(pulse, _DT_FACTOR), pulse.sigma, j),
+        peak_amplitude=peak_amplitude,
     )
-    series = TimeSeries(t_samples=t,
-                        values=(analytic_out * carrier.conjugate()).real,
-                        channel=channel)
-    return series, report
+    return TimeSeries(t, channel, lo, filtered, carrier), report
 
 
 def differential_delay(scenario: Scenario, pulse: PulseSpec) -> float:
@@ -477,9 +610,9 @@ def differential_delay(scenario: Scenario, pulse: PulseSpec) -> float:
     negative in the evanescent regime, and its magnitude matches the
     fixed-angle phase-derivative delay at the carrier.
     t = 1 exactly without a gap, so the closed-prism peak time is exactly
-    0.0 and only the gapped pulse is synthesized.
+    0.0 and only the gapped pulse is measured.
     """
-    return 0.0 - _propagated(scenario, pulse, Channel.TRANSMISSION)[5]
+    return 0.0 - _propagated(scenario, pulse, Channel.TRANSMISSION)[6]
 
 
 def front_causality_check(scenario: Scenario, pulse: PulseSpec,

@@ -9,16 +9,27 @@ whose k_x lies past the prism cone that ``scatter`` admits, from
 ``evanesce.wavesynth`` does the same filtering on the band of bins where
 the spectrum is nonzero, with one closed-form coefficient; the tests
 compare the two.
+
+``carrier_rate_pulse`` is the pulse measured at the carrier rate: the
+filtered band's length-n inverse FFT, its envelope's argmax, half-maximum
+crossings and FFT cross-correlation, which ``propagate_pulse`` replaces by
+measurements on the band.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from evanesce import Channel, PulseSpec, Scenario, scatter, wavevectors
+from evanesce import (
+    Channel, PulseReport, PulseSpec, Scenario, scatter, wavevectors,
+)
 from evanesce.scattering import _normal_wavenumbers, _transfer
+from evanesce.wavesynth import (
+    _DT_FACTOR, _PULSE_SPAN, _fixed_angle, _one_sided, _peak, _step, time_grid,
+)
 
 
 def gaussian_spectrum(pulse: PulseSpec, n: int, dt: float) -> np.ndarray:
@@ -112,3 +123,80 @@ def exact_peak(t: np.ndarray, dt: float, lo: int, band: np.ndarray,
         y0, y1, y2 = env
         peak = mp.mpf(float(t[j])) + mp.mpf(dt) / 2 * (y0 - y2) / (y0 - 2 * y1 + y2)
         return float(peak), float(y1)
+
+
+def incident_envelope(n: int, sigma: float, dt: float):
+    """The ``rfft`` of the incident envelope e^{-t^2/2 sigma^2} sampled at
+    t = (j - n/2) dt, on the bins where it is nonzero, and its sum of
+    squares.
+
+    Both are closed forms, by Poisson summation as in ``_one_sided``:
+    (sigma sqrt(2 pi)/dt) e^{-(omega sigma)^2/2} (-1)^k on the bins with
+    omega sigma <= 38.7, past which it underflows to 0.0, and
+    sigma sqrt(pi)/dt.
+    """
+    live = min(n // 2 + 1, math.floor(38.7 * n * dt / (2 * math.pi * sigma)) + 1)
+    omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)[:live]
+    spectrum = (sigma * math.sqrt(2 * math.pi) / dt
+                * np.exp(-(omegas * sigma) ** 2 / 2))
+    spectrum[1::2] *= -1.0
+    return spectrum, sigma * math.sqrt(math.pi) / dt
+
+
+def envelope_fwhm(t: np.ndarray, env: np.ndarray) -> float:
+    """Full width at half maximum of the intensity ``env``^2: the first and
+    last samples at or above half its maximum, each crossing interpolated
+    linearly with the sample outside it."""
+    intensity = env ** 2
+    half = intensity.max() / 2
+    above = np.flatnonzero(intensity >= half)
+    i0, i1 = above[0], above[-1]
+
+    def cross(j_out, j_in):
+        y0, y1 = intensity[j_out], intensity[j_in]
+        frac = (half - y0) / (y1 - y0)
+        return t[j_out] + frac * (t[j_in] - t[j_out])
+
+    left = cross(i0 - 1, i0) if i0 > 0 else t[i0]
+    right = cross(i1 + 1, i1) if i1 < len(t) - 1 else t[i1]
+    return float(right - left)
+
+
+def envelope_correlation(env: np.ndarray, sigma: float, dt: float) -> float:
+    """Peak normalized cross-correlation of ``env`` with the incident
+    envelope on the same grid, by ``rfft``/``irfft`` over every lag."""
+    n = len(env)
+    spectrum, energy = incident_envelope(n, sigma, dt)
+    cross = np.fft.rfft(env)
+    cross[:len(spectrum)] *= spectrum  # real: its own conjugate
+    cross[len(spectrum):] = 0.0
+    corr = np.fft.irfft(cross, n)
+    return float(corr.max() / math.sqrt(float(np.sum(env ** 2)) * energy))
+
+
+def carrier_rate_pulse(scenario: Scenario, pulse: PulseSpec,
+                       channel: Channel = Channel.TRANSMISSION):
+    """(series values, report) of ``propagate_pulse`` synthesized and
+    measured at the carrier rate: the filtered band in a zeroed length-n
+    buffer, one inverse FFT, the envelope's argmax as the start of the
+    output peak (``_peak``), ``envelope_fwhm`` and
+    ``envelope_correlation``."""
+    t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
+    n, dt = len(t), _step(pulse, _DT_FACTOR)
+    lo, omegas, band = _one_sided(pulse, n, dt)
+    filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel, omegas)))
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[lo:lo + len(band)] = filtered
+    analytic = np.fft.ifft(spectrum, out=spectrum)
+    env = np.abs(analytic)
+    peak_out, value_out, _ = _peak(n, dt, lo, filtered, int(np.argmax(env)))
+    peak_in, value_in, _ = _peak(n, dt, lo, band, n // 2)
+    carrier = 1.0
+    if channel is Channel.TRANSMISSION:
+        carrier = cmath.exp(1j * cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
+                            * scenario.d)
+    report = PulseReport(
+        peak_time=peak_out - peak_in, fwhm=envelope_fwhm(t, env),
+        shape_correlation=envelope_correlation(env, pulse.sigma, dt),
+        peak_amplitude=value_out / value_in * abs(carrier))
+    return (analytic * carrier.conjugate()).real, report

@@ -187,6 +187,46 @@ class TestPulseCommand:
         assert payload["quasi_static_ratio"] is None
         assert payload["quasi_static"] is True
 
+    def test_series_synthesized_only_for_out(self, monkeypatch, tmp_path,
+                                             capsys):
+        # the report is measured on the band; only --out reads the
+        # carrier-rate series, whose synthesis is one length-n inverse FFT
+        from evanesce import wavesynth
+
+        reads = []
+        real = wavesynth.TimeSeries.values.func
+
+        def counted(series):
+            reads.append(series.channel)
+            return real(series)
+
+        monkeypatch.setattr(wavesynth.TimeSeries, "values",
+                            property(counted))
+        assert cli.main(["pulse"]) == 0
+        assert reads == []
+        assert cli.main(["pulse", "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(reads) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_reflection_at_a_subnormal_scale(self, tmp_path, capsys):
+        # r is ~1e-301 at 1e-300 mm: the band is measured scaled by a power
+        # of two, so the reflected pulse has its shape, and its series is
+        # the true, tiny output
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["pulse", "--channel", "reflection", "--d-mm",
+                             "1e-300", "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        payload = json.loads(stdout)
+        assert payload["fwhm_ns"] == pytest.approx(16.0, rel=1e-5)
+        assert 1 - 1e-12 <= payload["shape_correlation"] <= 1.0
+        assert payload["peak_amplitude"] == pytest.approx(1.32e-301, rel=1e-2)
+        field = np.array(read_csv(out.read_text())["field"])
+        assert np.max(np.abs(field)) == pytest.approx(
+            payload["peak_amplitude"], rel=0.01)
+
     def test_non_finite_value_exits_2(self, monkeypatch, capsys):
         # a stand-in for any other non-finite value: one line, nothing printed
         monkeypatch.setattr(cli, "quasi_static_ratio", lambda *args: math.nan)
@@ -221,7 +261,7 @@ class TestPulseWideGap:
         # the true output amplitude, e^{-kappa d} small, underflows past ~7 m
         assert (payload["peak_amplitude"] == 0.0) == (d_mm == 10000)
 
-    @pytest.mark.parametrize("d_mm", ["200000", "1e300"])
+    @pytest.mark.parametrize("d_mm", ["100000", "200000", "1e300"])
     def test_gap_past_double_range(self, d_mm, capsys):
         # across the band, transmission relative to the carrier spans more
         # than a double holds: one line and exit 2, no numpy warning
@@ -288,7 +328,6 @@ class TestFailedRunWritesNoOut:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["pulse", "--channel", "reflection", "--d-mm", "1e-300"],
         ["beam", "--channel", "reflection", "--d-mm", "1e-300"],
         ["beam", "--polarization", "TM", "--n", "1.39", "--theta-deg", "66.3",
          "--f-ghz", "6.13", "--d-mm", "149688", "--waist-wavelengths", "45.6"],
@@ -306,6 +345,34 @@ class TestFailedRunWritesNoOut:
         assert "underflows to 0.0 at every sample" in stderr
         assert stderr.count("\n") == 1
         assert not out.exists()
+
+
+class TestCarrierRange:
+    """A carrier whose (omega/c)^2 is not a normal double is rejected with
+    one line: from --f-ghz 1e-163 it underflowed, and these four exited 3
+    with a division by zero."""
+
+    @pytest.mark.parametrize("command", ["attenuation", "hartman", "beam",
+                                         "energy"])
+    @pytest.mark.parametrize("f_ghz", ["1e-163", "1e160"])
+    def test_out_of_range_carrier(self, command, f_ghz, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--f-ghz", f_ghz]) == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("error: carrier frequency out of range: "
+                                 "(omega/c)^2 must be a normal double")
+        assert stderr.count("\n") == 1
+
+    def test_lowest_carriers_run(self, capsys):
+        # (omega/c)^2 is 4.4e-306 at 1e-154 GHz: normal, and the numbers
+        # scale with the carrier
+        assert cli.main(["attenuation", "--f-ghz", "1e-154", "--json"]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert json.loads(stdout)["kappa_per_m"] == pytest.approx(
+            101.4048491612062 * 1e-154 / 9.15, rel=1e-12)
 
 
 class TestFiniteTextAndCsv:

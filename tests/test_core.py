@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -150,12 +151,22 @@ class TestScenario:
         assert not Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=0.04).is_tunneling
 
     def test_tunneling_decided_past_the_underflow_of_kappa(self):
-        # (omega/c)^2 and kappa underflow to 0 at a subnormal carrier; the
-        # regime is a property of n and theta alone
-        s = Scenario(n=1.6, f=1e-320, theta=math.radians(45), d=0.04)
-        wv = wavevectors(s)
-        assert wv.kappa == 0.0 and wv.k_z_gap_sq == 0.0
-        assert s.is_tunneling
+        # a carrier whose (omega/c)^2 is not a normal double is rejected; at
+        # the lowest one accepted, k_z_gap_sq = -(omega/c)^2 times a
+        # radicand of 2.2e-16 underflows, and the regime is still a
+        # property of n and theta alone
+        for f in (1e-320, 1e-154, 1e169):
+            with pytest.raises(ValueError, match="must be a normal double"):
+                Scenario(n=1.6, f=f, theta=math.radians(45), d=0.04)
+        f = 7.2e-147  # (omega/c)^2 = 2.3e-308
+        for theta, tunneling in ((38.68218745348944, True),
+                                 (38.682187453489, False), (45.0, True)):
+            s = Scenario(n=1.6, f=f, theta=math.radians(theta), d=0.04)
+            assert s.is_tunneling is tunneling
+            assert s.is_tunneling is replace(s, f=9.15e9).is_tunneling
+        wv = wavevectors(Scenario(n=1.6, f=f, theta=math.radians(
+            38.68218745348944), d=0.04))
+        assert wv.kappa > 0 and wv.k_z_gap_sq > -1e-322
 
     def test_polarization_coercion(self):
         s = Scenario(n=1.6, f=9.15e9, theta=0.8, d=0.04, polarization="TM")

@@ -18,13 +18,13 @@ from evanesce import (
 from evanesce import scattering, wavesynth
 from evanesce.scattering import _coefficient, _normal_wavenumbers
 from evanesce.wavesynth import (
-    _BLOCK, _analytic, _fixed_angle, _incident_envelope, _one_sided, _peak,
-    _shape_correlation, _smooth_step, _step, sample_pulse, time_grid,
+    _BLOCK, _analytic, _fixed_angle, _one_sided, _peak, _smooth_step, _step,
+    sample_pulse, time_grid,
 )
 from conftest import HEADLINE, random_scenario
 from spectral_reference import (
-    analytic_envelope, apply_channel, exact_peak, filtered_analytic,
-    gaussian_spectrum,
+    analytic_envelope, apply_channel, carrier_rate_pulse, exact_peak,
+    filtered_analytic, gaussian_spectrum, incident_envelope,
 )
 
 PULSE = PulseSpec(fwhm=16e-9, carrier=9.15e9)
@@ -119,16 +119,21 @@ class TestPulsePropagation:
 
     @pytest.mark.parametrize("d", [0.01, 0.04, 1.0])
     def test_shape_correlation_matches_complex_transforms(self, headline, d):
-        # against complex transforms of the output envelope and of the
-        # sampled closed-form incident envelope: the real transforms and the
-        # closed-form spectrum and sum of squares round in another order, a
-        # few ulps of 1 apart
-        t, dt, _, env_out, *_ = wavesynth._propagated(
-            replace(headline, d=d), PULSE, Channel.TRANSMISSION)
+        # against complex transforms of the carrier-rate output envelope and
+        # of the sampled closed-form incident envelope over every lag: the
+        # coarse Riemann sums, Parseval's sum of squares and the closed-form
+        # incident one round in another order, a few ulps of 1 apart
+        s = replace(headline, d=d)
+        t = time_grid(PULSE, 16, 16)
+        lo, omegas, band = _one_sided(PULSE, len(t), _step(PULSE, 16))
+        spectrum = np.zeros(len(t), dtype=complex)
+        spectrum[lo:lo + len(band)] = band * np.conj(
+            _fixed_angle(s, Channel.TRANSMISSION, omegas))
+        env_out = np.abs(np.fft.ifft(spectrum))
         env_in = np.exp(-t ** 2 / (2 * PULSE.sigma ** 2))
         corr = np.fft.ifft(np.fft.fft(env_out) * np.conj(np.fft.fft(env_in))).real
         want = corr.max() / math.sqrt(np.sum(env_out ** 2) * np.sum(env_in ** 2))
-        assert abs(_shape_correlation(env_out, PULSE.sigma, dt) - want) \
+        assert abs(propagate_pulse(s, PULSE)[1].shape_correlation - want) \
             <= 4 * np.finfo(float).eps
 
     def test_bandwidth_guard(self, headline):
@@ -142,27 +147,53 @@ class TestPulsePropagation:
     def test_fixed_grid(self, headline):
         series, _ = propagate_pulse(headline, PULSE)
         assert len(series.t_samples) == len(series.values) == 65536
-        t, dt, analytic_out, env_out, *_ = wavesynth._propagated(
+        assert _step(PULSE, 16) == 1 / (16 * PULSE.carrier)
+        # measured on the band's 573 bins and on the power of two above them
+        _, filtered, _, scaled, coarse, *_ = wavesynth._propagated(
             headline, PULSE, Channel.TRANSMISSION)
-        assert len(t) == len(analytic_out) == len(env_out) == 65536
-        assert dt == 1 / (16 * PULSE.carrier)
+        assert len(filtered) == len(scaled) == 573
+        assert len(coarse) == 1024
 
     def test_reflection_degenerate_at_zero_gap(self, headline):
         with pytest.raises(DegenerateChannelError):
             propagate_pulse(replace(headline, d=0.0), PULSE, Channel.REFLECTION)
 
     def test_underflowed_output_rejected(self, headline):
-        # at a 1e-303 m gap r is ~1e-301: the reflected envelope squared is
-        # 0.0 at every sample, which divided by zero in the shape correlation
-        # and let the width span the whole window
-        s = replace(headline, d=1e-303)
+        # at gaps of 1e-163 and 1e-303 m r is ~1e-161 and ~1e-301: the
+        # reflected envelope squared was subnormal (width 4.0164 ns and
+        # correlation 1.0015 for a 4 ns pulse) or 0.0 at every sample (exit
+        # 2).  The band is measured scaled by a power of two, so the shape
+        # is the one at 1e-103 m and only the amplitude scales with d.
+        pulse = PulseSpec(fwhm=4e-9, carrier=PULSE.carrier)
+        want = propagate_pulse(replace(headline, d=1e-103), pulse,
+                               Channel.REFLECTION)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GridGuardError, match="reflection envelope "
-                               "squared underflows to 0.0"):
-                propagate_pulse(s, PULSE, Channel.REFLECTION)
-            assert propagate_pulse(s, PULSE)[1].shape_correlation \
-                == pytest.approx(1.0, abs=1e-12)
+            for d in (1e-163, 1e-303):
+                got = propagate_pulse(replace(headline, d=d), pulse,
+                                      Channel.REFLECTION)[1]
+                assert got.fwhm == pytest.approx(want.fwhm, rel=1e-12)
+                assert got.shape_correlation <= 1.0
+                assert got.shape_correlation == pytest.approx(
+                    want.shape_correlation, rel=1e-12)
+                assert got.peak_time == want.peak_time
+                assert got.peak_amplitude / d == pytest.approx(
+                    want.peak_amplitude / 1e-103, rel=1e-12)
+            assert propagate_pulse(replace(headline, d=1e-303), PULSE)[1] \
+                .shape_correlation == pytest.approx(1.0, abs=1e-12)
+
+    def test_band_past_double_range_rejected(self, headline):
+        # at 100 m the growth guard admits e^708, but alpha_hat e^708
+        # overflows: the band is checked before any product can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridGuardError, match="gap too wide for the "
+                               "pulse synthesis: transmission varies by e\\^708 "):
+                wavesynth._propagated(replace(headline, d=100.0), PULSE,
+                                      Channel.TRANSMISSION)
+            assert wavesynth._propagated(replace(headline, d=90.0), PULSE,
+                                         Channel.TRANSMISSION)[6] \
+                == pytest.approx(0.0, abs=1e-24)
 
 
 class TestDifferentialDelay:
@@ -319,7 +350,7 @@ class TestIncidentClosedForm:
         n, dt = len(t), _step(pulse, 16)
         samples = np.exp(-t ** 2 / (2 * pulse.sigma ** 2))
         del t
-        spectrum, energy = _incident_envelope(n, pulse.sigma, dt)
+        spectrum, energy = incident_envelope(n, pulse.sigma, dt)
         want = np.fft.rfft(samples)
         live = len(spectrum)
         assert 0 < live < len(want)
@@ -345,23 +376,58 @@ class TestPeakSums:
         (0.4, Polarization.TE, Channel.TRANSMISSION),   # delay ~1e-13 ps
     ])
     def test_against_exact_sums(self, d, polarization, channel):
+        # from either neighbour of the peak sample the climb reaches it
         s = Scenario(**{**HEADLINE, "d": d}, polarization=polarization)
         t = time_grid(PULSE, 16, 16)
         n, dt = len(t), _step(PULSE, 16)
         lo, omegas, band = _one_sided(PULSE, n, dt)
         filtered = np.multiply(band, np.conj(_fixed_angle(s, channel, omegas)))
         for spectrum in (band, filtered):
-            for j in (n // 2 - 1, n // 2, n // 2 + 1):
-                time, value = _peak(t, dt, lo, spectrum, j)
-                want_time, want_value = exact_peak(t, dt, lo, spectrum, j)
-                assert abs(time - want_time) <= 2e-24  # 2e-12 ps
-                assert value == pytest.approx(want_value, rel=1e-15)
+            peaks = {_peak(n, dt, lo, spectrum, j)
+                     for j in (n // 2 - 1, n // 2, n // 2 + 1)}
+            assert len(peaks) == 1
+            ((time, value, j),) = peaks
+            want_time, want_value = exact_peak(t, dt, lo, spectrum, j)
+            assert abs(time - want_time) <= 2e-24  # 2e-12 ps
+            assert value == pytest.approx(want_value, rel=1e-15)
 
     def test_incident_peak_is_exactly_zero(self):
-        t = time_grid(PULSE, 16, 16)
-        n, dt = len(t), _step(PULSE, 16)
+        n, dt = len(time_grid(PULSE, 16, 16)), _step(PULSE, 16)
         lo, _, band = _one_sided(PULSE, n, dt)
-        assert _peak(t, dt, lo, band, n // 2)[0] == 0.0
+        assert _peak(n, dt, lo, band, n // 2)[::2] == (0.0, n // 2)
+
+
+def band_measurement_cases():
+    """The headline geometry from 0 to 5 m, TE and TM, then twelve seeded
+    random scenarios with gaps up to 1 m and pulses of 100-200 cycles."""
+    for polarization in Polarization:
+        for d in (0.0, 1e-3, 0.01, 0.04, 0.2, 1.0, 5.0):
+            yield Scenario(**{**HEADLINE, "d": d}, polarization=polarization), PULSE
+    rng = np.random.default_rng(71)
+    for _ in range(12):
+        s = replace(random_scenario(rng), d=10 ** rng.uniform(-4, 0))
+        yield s, PulseSpec(fwhm=rng.uniform(100, 200) / s.f, carrier=s.f)
+
+
+class TestBandMeasurement:
+    """The report measured on the band (a coarse inverse FFT and direct
+    sums) against the same pulse measured at the carrier rate
+    (``carrier_rate_pulse``): the peak is found on the same sample, so its
+    time and amplitude keep every bit, while the width and the correlation
+    are formed from other samples and sums, within 1e-14."""
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_matches_carrier_rate_measurement(self, channel):
+        for s, pulse in band_measurement_cases():
+            if s.d == 0 and channel is Channel.REFLECTION:
+                continue
+            got = propagate_pulse(s, pulse, channel)[1]
+            want = carrier_rate_pulse(s, pulse, channel)[1]
+            assert got.peak_time == want.peak_time, s
+            assert got.peak_amplitude == want.peak_amplitude, s
+            assert got.fwhm == pytest.approx(want.fwhm, rel=1e-14, abs=0), s
+            assert got.shape_correlation == pytest.approx(
+                want.shape_correlation, rel=1e-14, abs=0), s
 
 
 def equivalence_cases(polarization, fwhm_cycles):
@@ -470,8 +536,12 @@ class TestSavedWork:
         assert inverse == [("ifft", n)]
 
     def test_pulse_transforms(self, headline, monkeypatch):
-        # only the output is synthesized: the incident envelope's peak, its
-        # spectrum and its sum of squares are closed forms or direct sums
+        # the report is measured on the band: one inverse FFT of m = 1024
+        # samples, the power of two above its 573 bins.  The series is
+        # synthesized, once, when it is read, by one length-n inverse FFT,
+        # bit for bit the full-grid synthesis
+        want = {channel: carrier_rate_pulse(headline, PULSE, channel)[0]
+                for channel in Channel}
         calls = counted_transforms(monkeypatch)
         spectra = []
         real = wavesynth._one_sided
@@ -481,17 +551,21 @@ class TestSavedWork:
             return real(*args)
 
         monkeypatch.setattr(wavesynth, "_one_sided", counted)
-        n = len(time_grid(PULSE, 16, 16))
+        n, m = len(time_grid(PULSE, 16, 16)), 1024
         for channel in Channel:
             calls.clear()
             spectra.clear()
-            propagate_pulse(headline, PULSE, channel)
-            assert calls == [("ifft", n), ("rfft", n), ("irfft", n)]
+            series, _ = propagate_pulse(headline, PULSE, channel)
+            assert calls == [("ifft", m)]
             assert len(spectra) == 1
+            values = series.values
+            assert series.values is values
+            assert calls == [("ifft", m), ("ifft", n)]
+            assert values.tobytes() == want[channel].tobytes()
         calls.clear()
         spectra.clear()
         differential_delay(headline, PULSE)
-        assert calls == [("ifft", n)]
+        assert calls == [("ifft", m)]
         assert len(spectra) == 1
 
     def test_coefficient_only_on_the_band(self, headline, monkeypatch):
@@ -522,7 +596,8 @@ class TestSavedWork:
         assert calls == [headline.d]
 
     def test_differential_delay_builds_no_report(self, headline, monkeypatch):
-        # only the peak times are used: no width, no correlation
+        # only the peak times are used: no width, no correlation, and no
+        # carrier-rate grid
         want = 0.0 - propagate_pulse(headline, PULSE)[1].peak_time
 
         def unused(*args, **kwargs):
@@ -530,6 +605,7 @@ class TestSavedWork:
 
         monkeypatch.setattr(wavesynth, "_fwhm", unused)
         monkeypatch.setattr(wavesynth, "_shape_correlation", unused)
+        monkeypatch.setattr(wavesynth, "time_grid", unused)
         assert differential_delay(headline, PULSE) == want
 
 
