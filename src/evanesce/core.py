@@ -55,7 +55,7 @@ class Scenario:
     n : float
         Prism refractive index (> 1).
     f : float
-        Carrier frequency [Hz].
+        Carrier frequency [Hz], with (omega/c)^2 a normal double.
     theta : float
         Incidence angle from the interface normal [rad], in (0, pi/2).
     d : float

@@ -16,7 +16,7 @@ that closed-form Gaussian, peaking at t = 0.  The output's band of L bins
 (573 for the default pulse), folded by bin mod m into m samples, m the
 power of two at or above L, gives by one inverse FFT the envelope at every
 (n/m)-th carrier-rate sample, exact in exact arithmetic (``_coarse``): 1024
-samples for 65 536, some 20 to the sigma.  Any single carrier-rate sample
+samples for 65 536, 12 to 25 to the sigma.  Any single carrier-rate sample
 is a direct sum over the band (``_terms``), with its phases reduced as
 integers.  A peak is a parabola through three envelope samples formed by
 such sums (``_peak``), the incident's at sample n/2 and the output's
@@ -90,7 +90,8 @@ and 2^19 samples), is the floor of the synthesis.  The largest traced
 allocation is the buffer, the band and the bin frequencies while the band
 is written into the buffer: about 1.75 buffers.  A beam whose intensity
 underflows to 0.0 at every sample, or a pulse whose band is 0.0 at every
-bin, has nothing to measure and raises GridGuardError.
+bin (reflection where kappa d underflows), has nothing to measure and
+raises GridGuardError.
 """
 
 from __future__ import annotations
@@ -323,18 +324,15 @@ def _terms(n: int, lo: int, band: np.ndarray, j: int) -> np.ndarray:
     """band_k e^{2 pi i k j/n} on bins k = lo, lo + 1, ...: the terms whose
     sum is sample j, times n, of the length-n analytic signal whose
     spectrum is ``band`` there and 0 elsewhere.  k j mod n is reduced as an
-    integer to a quarter turn i^q, exact, times a phase of at most pi/4."""
+    integer to a quarter turn i^q, exact, times a phase of at most pi/4:
+    with k = lo + i, lo j is reduced as a Python integer and i j is below
+    the band's bin count times n, which ``_propagated`` keeps in range."""
     eighth = n // 8
-    k = np.arange(lo, lo + len(band))
-    m = (k * j + eighth) % n - eighth  # k j mod n, in [-n/8, 7n/8)
+    # k j mod n, in [-n/8, 7n/8)
+    m = ((lo * j) % n + np.arange(len(band)) * j + eighth) % n - eighth
     quarter = (m + eighth) // (2 * eighth)
     return (band * np.array([1, 1j, -1, -1j])[quarter]
             * np.exp((m - 2 * eighth * quarter) * (2j * math.pi / n)))
-
-
-def _sample(n: int, lo: int, band: np.ndarray, j: int) -> float:
-    """The envelope, times n, at sample j (see ``_terms``)."""
-    return abs(complex(np.sum(_terms(n, lo, band, j))))
 
 
 def _peak(n: int, dt: float, lo: int, band: np.ndarray,
@@ -428,8 +426,8 @@ def _fwhm(t: np.ndarray, lo: int, band: np.ndarray, coarse: np.ndarray,
     """Full width at half maximum of the intensity envelope whose peak
     sample is j.  Each crossing is placed by linear interpolation between
     the coarse samples (``_coarse``) around it, walked to at the carrier
-    rate by direct sums (``_sample``), and interpolated linearly between
-    the two samples around it.  The coarse samples lie some 20 to the
+    rate by direct sums (``_terms``), and interpolated linearly between
+    the two samples around it.  The coarse samples lie 12 to 25 to the
     sigma, so the walk is a step or two.
     """
     n, m = len(t), len(coarse)
@@ -437,7 +435,7 @@ def _fwhm(t: np.ndarray, lo: int, band: np.ndarray, coarse: np.ndarray,
 
     @functools.cache
     def intensity(i):
-        return _sample(n, lo, band, i) ** 2
+        return abs(complex(np.sum(_terms(n, lo, band, i)))) ** 2
 
     half = intensity(j) / 2
     # the coarse sample nearest the peak is above half
@@ -473,7 +471,7 @@ def _shape_correlation(n: int, coarse: np.ndarray, energy: float, dt: float,
 
     At each lag the sum over the n samples is the Riemann sum over the m
     coarse ones (``_coarse``, the envelope times n), which holds it to
-    round-off: a product of Gaussians sampled some 20 times per sigma.  The
+    round-off: a product of Gaussians sampled 12 to 25 times per sigma.  The
     output's sum of squares is ``energy``/n by Parseval, with ``energy``
     the band's, and the incident's is the closed form sigma sqrt(pi)/dt.
     The result is at most 1 by Cauchy-Schwarz; where round-off passes 1,
@@ -537,6 +535,7 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     n, dt = _grid_size(pulse, _DT_FACTOR, _PULSE_SPAN), _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
     lo, omegas, band = _one_sided(pulse, n, dt)
+    _require_array_size(n * len(band), "samples")  # the int64 phases of _terms
     beta0 = cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
     # on the fixed-angle drive beta is proportional to omega, so
     # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
@@ -554,9 +553,9 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
             f"varies by e^{growth:.3g} across the pulse band, past "
             "double range")
     largest = float(np.max(np.abs(filtered)))
-    if largest == 0.0:
-        raise GridGuardError(f"the {channel.value} band is 0.0 at every bin: "
-                             "no peak, width or shape to measure")
+    if largest == 0.0:  # as r where kappa d underflows
+        raise GridGuardError(f"the {channel.value} envelope underflows to 0.0 "
+                             "at every sample: no peak, width or shape to measure")
     exponent = math.frexp(largest)[1]
     scaled = np.ldexp(filtered.view(float), -exponent).view(complex)
     coarse = _coarse(n, lo, scaled)

@@ -328,6 +328,9 @@ class TestFailedRunWritesNoOut:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        # kappa d underflows at a 1e-131 Hz carrier, so r is 0.0
+        ["pulse", "--channel", "reflection", "--f-ghz", "1e-140",
+         "--fwhm-ns", "1.5e142", "--d-mm", "1e-300"],
         ["beam", "--channel", "reflection", "--d-mm", "1e-300"],
         ["beam", "--polarization", "TM", "--n", "1.39", "--theta-deg", "66.3",
          "--f-ghz", "6.13", "--d-mm", "149688", "--waist-wavelengths", "45.6"],
