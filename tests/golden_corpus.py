@@ -101,6 +101,7 @@ _PLAIN = [
     ["pulse", "--channel", "reflection", "--polarization", "TM"],
     ["pulse", "--channel", "reflection", "--fwhm-ns", "4", "--d-mm", "1e-160"],
     ["pulse", "--d-mm", "100000"],
+    ["pulse", "--f-ghz", "1e-4", "--fwhm-ns", "1e6", "--d-mm", "1e-300"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
