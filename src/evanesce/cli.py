@@ -231,7 +231,9 @@ def cmd_pulse(args: argparse.Namespace, scenario: Scenario) -> int:
         "peak_amplitude": report.peak_amplitude,
         "peak_intensity_ratio": report.peak_amplitude ** 2,
         "spatial_extent_m": pulse_spatial_extent(pulse, scenario.c),
-        "quasi_static_ratio": ratio if scenario.d > 0 else None,
+        # c*fwhm/d is +inf at d = 0 and past the double range at a tiny
+        # gap, which RFC 8259 JSON cannot hold
+        "quasi_static_ratio": None if math.isinf(ratio) else ratio,
         "quasi_static": ratio > 10,
     }, args, ("t_ns", "field"),
         lambda: (series.t_samples * 1e9, series.values))

@@ -48,16 +48,30 @@ class ScatterResult:
     k_z_gap: complex
 
 
+def _principal_root(x):
+    """``np.sqrt(x + 0j)`` of real x, bit for bit: the correctly rounded
+    root of |x|, real for x >= 0 (-0.0 included, as x + 0j makes it +0.0)
+    and imaginary below, NaN in both parts for a NaN.  The complex root of
+    a radicand with a zero imaginary part is exactly that."""
+    x = np.asarray(x)
+    root = np.sqrt(np.abs(x))
+    out = np.zeros(x.shape, dtype=complex)
+    np.copyto(out.real, root, where=~(x < 0))
+    np.copyto(out.imag, root, where=~(x >= 0))
+    return out[()]  # a scalar for a scalar, as np.sqrt gives
+
+
 def _normal_wavenumbers(scenario: Scenario, omega, k_x):
-    """(alpha, beta) at (omega, k_x), elementwise: the carrier's squares
-    less (k_x - k_x0)(k_x + k_x0), first as it is 0 on the fixed-k_x drive,
-    plus n^2 (omega - omega_0)(omega + omega_0)/c^2, without n^2 for beta."""
+    """(alpha, beta) at (omega, k_x), elementwise: the principal roots of the
+    carrier's squares less (k_x - k_x0)(k_x + k_x0), first as it is 0 on the
+    fixed-k_x drive, plus n^2 (omega - omega_0)(omega + omega_0)/c^2,
+    without n^2 for beta.  Both radicands are real."""
     w0, c, wv = scenario.omega, scenario.c, wavevectors(scenario)
     alpha0, kx0 = wv.k_z_prism, wv.k_x
     d_omega = (omega - w0) * (omega + w0) / (c * c)
     d_kx = (k_x - kx0) * (k_x + kx0)
-    return (np.sqrt(alpha0 * alpha0 - d_kx + scenario.n ** 2 * d_omega + 0j),
-            np.sqrt(wv.k_z_gap_sq - d_kx + d_omega + 0j))
+    return (_principal_root(alpha0 * alpha0 - d_kx + scenario.n ** 2 * d_omega),
+            _principal_root(wv.k_z_gap_sq - d_kx + d_omega))
 
 
 def _transfer(scenario: Scenario, alpha, beta):
@@ -73,12 +87,18 @@ def _transfer(scenario: Scenario, alpha, beta):
     # via its series near phi = 0 keeps the critical angle and d = 0 exact.
     e_sin = np.expm1(2j * phi) / 2j
     small = np.abs(phi) < 1e-8
-    beta_safe = np.where(small, 1.0, beta)
-    # phi zeroed where the series is unused, so that d*phi cannot overflow
-    # at wide gaps: phi * True is phi, and a product costs far less than
-    # np.where on scalars
-    e_sin_over_beta = np.where(small, d * (1 + 1j * (phi * small)),
-                               e_sin / beta_safe)
+    if small.any():
+        beta_safe = np.where(small, 1.0, beta)
+        # phi zeroed where the series is unused, so that d*phi cannot
+        # overflow at wide gaps: phi * True is phi, and a product costs far
+        # less than np.where on scalars
+        e_sin_over_beta = np.where(small, d * (1 + 1j * (phi * small)),
+                                   e_sin / beta_safe)
+    else:
+        # an array, 0-d for a scalar, as np.where gives: array products
+        # fuse their multiply-adds where scalar ones do not, so a_term
+        # rounds as on the series' path
+        e_sin_over_beta = np.asarray(e_sin / beta)
     # alpha_hat (alpha_hat/beta +- beta/alpha_hat) e^{i phi} sin(phi) and
     # alpha_hat e^{i phi} cos(phi): nothing divides by alpha_hat
     a_term = alpha_hat * alpha_hat * e_sin_over_beta

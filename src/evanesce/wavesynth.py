@@ -39,12 +39,14 @@ only on its live band |omega - omega_0| <= 38.7/sigma, past which both
 Gaussian terms underflow to 0.0: 573 of the 32 767 positive bins of
 the default 16 ns pulse.  It is exact where the FFT of samples leaves a
 round-off floor of ~1e-16 of the peak bin, which a wide gap (kappa
-proportional to omega) would amplify above the pulse.  A pulse with a
-front takes the real FFT (``rfft``) of its samples on every positive bin,
-because its smooth turn-on has no closed form.  Either way the channel
+proportional to omega) would amplify above the pulse.  The channel
 coefficient is evaluated on the band alone, and a series, when it is
-read, fills one zeroed length-n buffer with the band (see below), so the
-carrier-rate grid and series keep their length.
+read, fills one zeroed length-n buffer with the band, so the carrier-rate
+grid and series keep their length.  A pulse with a front is the front
+check's alone: its smooth turn-on has no closed form, so it takes the
+real FFT (``rfft``) of its samples on every positive bin, and pulse
+propagation, whose report measures against the plain Gaussian, rejects
+it.
 The grid step is the one ``time_grid`` multiplies by, not t[1] - t[0],
 which misses it by a rounding of (1 - n/2) dt - (-n/2) dt.
 
@@ -73,22 +75,25 @@ it in blocks of ``_BLOCK`` bins, each block's conjugate multiplied into
 the buffer (below) before the next is formed, so the per-bin work is
 sized for the cache.  Every operation is elementwise, so each bin gets
 the same bits as from one pass over all bins.
-``sample_pulse`` takes an ascending grid and evaluates the pulse only on
-the span where it can be nonzero (after the front, within 38.7 sigma,
-past which the Gaussian underflows to 0.0), writing zeros elsewhere.
+The pulse is evaluated only on the span where it can be nonzero (after
+the front, within 38.7 sigma, past which the Gaussian underflows to 0.0)
+and is zero elsewhere: ``sample_pulse`` finds that span on a given
+ascending grid, and the front check from sample indices
+(``_grid_index``), both by one formula (``_pulse_samples``).
 
-Each synthesis holds one length-n complex buffer, over which the inverse
-FFT runs in place.  The pulse's band is under 1 % of its buffer, which
-only a read of its series allocates.  In the
-front check (``_analytic``) the band is written into the buffer and
-released, the coefficient is multiplied into it block by block, and the
-bin frequencies and the time grid are released before the transform
-runs.  So no band-sized array sits beside the buffer while the
-transform runs, and the transform's own scratch, about twice the buffer
-(measured as the resident-set growth of one in-place inverse FFT of 2^18
-and 2^19 samples), is the floor of the synthesis.  The largest traced
-allocation is the buffer, the band and the bin frequencies while the band
-is written into the buffer: about 1.75 buffers.  A beam whose intensity
+Each synthesis holds one complex buffer, over which the inverse FFT runs
+in place.  The pulse's band is under 1 % of its buffer, which only a read
+of its series allocates.  The front check's buffer has n + 1 bins and is
+the whole check: the samples are staged block by block in its upper n
+floats, their ``rfft`` is written to its lower n/2 + 1 bins, the band is
+doubled and multiplied by the coefficient block by block in place, the
+inverse FFT runs over its first n bins, and the envelope's maxima are
+taken block by block.  No time grid, band, bin-frequency or envelope
+array is made, so the largest traced allocation is the buffer and one
+block's temporaries: 1.19 buffers at 2^18 samples and 1.09 at 2^19.  The
+transform's own scratch, about twice the buffer (measured as the
+resident-set growth of one in-place inverse FFT of 2^18 and 2^19
+samples), is the floor of the synthesis.  A beam whose intensity
 underflows to 0.0 at every sample, or a pulse whose band is 0.0 at every
 bin (reflection where kappa d underflows), has nothing to measure and
 raises GridGuardError.
@@ -111,9 +116,12 @@ from .delay import Channel, _require_live, _shift
 from .scattering import _coefficient, _normal_wavenumbers
 
 
-# Bins per block of the channel coefficient: 128 KiB per complex temporary,
-# so the ~20 elementwise passes of ``scattering._transfer`` stay in cache.
-_BLOCK = 8192
+# Bins or samples per block of the front check: 64 KiB per complex
+# temporary, so the ~20 elementwise passes of ``scattering._transfer`` stay
+# in cache, and the temporaries, which malloc serves from its heap, stay
+# small beside the buffer and the transforms' scratch (8192 bins raised the
+# causality command's peak resident set by 1 MB, 16384 by 2.5 MB).
+_BLOCK = 4096
 
 # exp(-t^2 / 2 sigma^2) underflows to exactly 0.0 past 38.61 sigma, so the
 # pulse is zero beyond this many sigmas from its peak, and its spectrum
@@ -213,6 +221,14 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pulse_samples(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
+    """Real field samples of the pulse at the times ``t``, by its formula."""
+    env = np.exp(-t ** 2 / (2 * pulse.sigma ** 2))
+    if pulse.front_time is not None:
+        env = env * _smooth_step((t - pulse.front_time) / pulse.rise)
+    return env * np.cos(2 * math.pi * pulse.carrier * t)
+
+
 def sample_pulse(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     """Real field samples of the pulse on the ascending grid ``t`` (peak
     envelope at 0).
@@ -226,11 +242,8 @@ def sample_pulse(pulse: PulseSpec, t: np.ndarray) -> np.ndarray:
     if pulse.front_time is not None:
         lo = max(lo, np.searchsorted(t, pulse.front_time, side="right"))
     live = t[lo:np.searchsorted(t, reach)]
-    env = np.exp(-live ** 2 / (2 * pulse.sigma ** 2))
-    if pulse.front_time is not None:
-        env = env * _smooth_step((live - pulse.front_time) / pulse.rise)
     out = np.zeros_like(t)
-    out[lo:lo + len(live)] = env * np.cos(2 * math.pi * pulse.carrier * live)
+    out[lo:lo + len(live)] = _pulse_samples(pulse, live)
     return out
 
 
@@ -262,27 +275,40 @@ def _grid(n: int, dt: float) -> np.ndarray:
     return np.arange(-(n // 2), n - n // 2) * dt
 
 
+def _grid_index(n: int, dt: float, x: float, side: str = "left") -> int:
+    """``np.searchsorted(_grid(n, dt), x, side)`` without the grid: the
+    count of samples below x, or at or below it for side "right".  The
+    guess ceil(x/dt) + n/2 is corrected by comparing x with the samples
+    themselves, the products (i - n/2) dt that ``_grid`` forms."""
+    def before(i):
+        return (i - n // 2) * dt <= x if side == "right" else (i - n // 2) * dt < x
+
+    ratio = x / dt
+    i = (min(max(math.ceil(ratio) + n // 2, 0), n) if abs(ratio) < n
+         else n if ratio > 0 else 0)
+    while i < n and before(i):
+        i += 1
+    while i > 0 and not before(i - 1):
+        i -= 1
+    return i
+
+
 def _bin_frequencies(n: int, dt: float, lo: int, hi: int) -> np.ndarray:
     """2 pi ``np.fft.rfftfreq(n, dt)[lo:hi]``, formed on those bins only."""
     return 2 * math.pi * (np.arange(lo, hi) * (1.0 / (n * dt)))
 
 
 def _one_sided(pulse: PulseSpec, n: int, dt: float):
-    """The pulse's analytic spectrum 2 X(omega_k) on the n-sample grid of
-    step ``dt``, as (lo, omegas, values) on the bins lo, lo + 1, ...; every
-    other bin with omega > 0 holds 0.
+    """The plain pulse's analytic spectrum 2 X(omega_k) on the n-sample
+    grid of step ``dt``, as (lo, omegas, values) on the bins lo, lo + 1,
+    ...; every other bin with omega > 0 holds 0.
 
-    A plain pulse takes the closed-form DFT of the sampled Gaussian,
+    It is the closed-form DFT of the sampled Gaussian,
     (2 sigma sqrt(pi/2)/dt) [e^{-(w - w0)^2 sigma^2/2}
     + e^{-(w + w0)^2 sigma^2/2}] (-1)^k, on the band |w - w0| <= 38.7/sigma
     where it can be nonzero; (-1)^k places the time origin at sample n/2
-    of the power-of-two grid.  A pulse with a front takes the ``rfft`` of
-    its samples on every positive bin, doubled in place.
+    of the power-of-two grid.
     """
-    if pulse.front_time is not None:
-        band = np.fft.rfft(sample_pulse(pulse, _grid(n, dt)))[1:(n + 1) // 2]
-        band *= 2.0
-        return 1, _bin_frequencies(n, dt, 1, (n + 1) // 2), band
     w0, sigma = 2 * math.pi * pulse.carrier, pulse.sigma
     reach, bin_width = _GAUSS_REACH / sigma, 2 * math.pi / (n * dt)
     lo = max(1, math.ceil((w0 - reach) / bin_width))
@@ -292,32 +318,6 @@ def _one_sided(pulse: PulseSpec, n: int, dt: float):
              + np.exp(-((omegas + w0) * sigma) ** 2 / 2))
     return lo, omegas, (2 * sigma * math.sqrt(math.pi / 2) / dt) * np.where(
         np.arange(lo, hi) % 2, -gauss, gauss)
-
-
-def _analytic(pulse: PulseSpec, n: int, dt: float, coefficient) -> np.ndarray:
-    """Length-n analytic signal of the pulse filtered by the channel on the
-    n-sample grid of step ``dt``: its one-sided spectrum from ``_one_sided``
-    times the conjugated ``coefficient(omegas)`` on the band.
-
-    One length-n complex buffer is held (see the module docstring): the
-    band is written into it and released, each block's coefficient is
-    multiplied into it, and the bin frequencies are released before the
-    inverse transform runs over it in place.  The caller passes the pulse,
-    not its band, so that this function holds the only references it
-    releases.
-    """
-    lo, omegas, band = _one_sided(pulse, n, dt)
-    spectrum = np.zeros(n, dtype=complex)
-    window = spectrum[lo:lo + len(band)]
-    window[...] = band
-    del band
-    for start in range(0, len(omegas), _BLOCK):
-        part = window[start:start + _BLOCK]
-        # conjugate: physical coefficients are defined for e^{-i omega t}
-        np.multiply(part, np.conj(coefficient(omegas[start:start + _BLOCK])),
-                    out=part)
-    del omegas
-    return np.fft.ifft(spectrum, out=spectrum)
 
 
 def _terms(n: int, lo: int, band: np.ndarray, j: int) -> np.ndarray:
@@ -509,6 +509,14 @@ def _fixed_angle(scenario: Scenario, channel: Channel,
                         beta_ref=beta0)
 
 
+def _fixed_kx(scenario: Scenario, omegas: np.ndarray) -> np.ndarray:
+    """The transmission coefficient of the fixed-k_x drive at the bin
+    frequencies ``omegas``: alpha and beta are the carrier's moved by the
+    frequency alone."""
+    return _coefficient(scenario, *_normal_wavenumbers(
+        scenario, omegas, wavevectors(scenario).k_x), Channel.TRANSMISSION)
+
+
 def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     """(band start, filtered band, carrier factor, scaled band, coarse
     envelope, output peak sample, peak delay, peak amplitude) of one channel
@@ -531,6 +539,9 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     bands are equal, as at d = 0, the delay is exactly 0.0 and the ratio
     exactly 1.0.  The scale is applied back only to the peak amplitude.
     """
+    if pulse.front_time is not None:
+        raise ValueError("pulse propagation measures a plain Gaussian pulse; "
+                         "a pulse with a front is for front_causality_check")
     _check_quasi_monochromatic(pulse)
     n, dt = _grid_size(pulse, _DT_FACTOR, _PULSE_SPAN), _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
@@ -625,27 +636,64 @@ def front_causality_check(scenario: Scenario, pulse: PulseSpec,
     returned ratio must not grow under grid refinement.  ``dt_factor``
     sets the samples per carrier period (at least 8); the window is a fixed
     64 fwhm, and a vacuum arrival past its end raises ``GridGuardError``.
+
+    The check holds one complex buffer of n + 1 bins and no grid: the
+    pulse is sampled block by block into its upper n floats, its ``rfft``
+    written to its lower n/2 + 1 bins, the band (every positive bin below
+    n/2) doubled and multiplied by the conjugated coefficient block by
+    block, and the inverse FFT run in place on its first n bins, whose
+    envelope maxima are taken block by block.
     """
     if pulse.front_time is None:
         raise ValueError("front causality check needs a pulse with a front")
     _check_quasi_monochromatic(pulse)
-    t = time_grid(pulse, dt_factor, _FRONT_SPAN)
-    if pulse.front_time <= t[0] or pulse.front_time >= t[-1]:
+    n, dt = _grid_size(pulse, dt_factor, _FRONT_SPAN), _step(pulse, dt_factor)
+    first, last = -(n // 2) * dt, (n - 1 - n // 2) * dt  # the window's samples
+    if pulse.front_time <= first or pulse.front_time >= last:
         raise GridGuardError("front_time outside the synthesis window")
-    # t[0] < front_time <= arrival, so the window always opens pre-front
+    # first < front_time <= arrival, so the window always opens pre-front
     arrival = pulse.front_time + scenario.d / scenario.c
-    if arrival >= t[-1]:
+    if arrival >= last:
         raise GridGuardError(
             f"front arrival {arrival:.3g} s lies past the synthesis window's "
-            f"end at {t[-1]:.3g} s")
-    # the grid ascends: the samples before the arrival are t[:k]
-    n, k = len(t), int(np.searchsorted(t, arrival))
-    del t  # not held beside the synthesis, whose working set is the peak
-    kx = wavevectors(scenario).k_x
-    env = np.abs(_analytic(
-        pulse, n, _step(pulse, dt_factor), lambda w: _coefficient(
-            scenario, *_normal_wavenumbers(scenario, w, kx), Channel.TRANSMISSION)))
-    return float(env[:k].max() / env.max())
+            f"end at {last:.3g} s")
+    # the samples before the arrival, and the pulse's live span: after the
+    # front and within the Gaussian's reach (see ``sample_pulse``)
+    k = _grid_index(n, dt, arrival)
+    reach = _GAUSS_REACH * pulse.sigma
+    lo = max(_grid_index(n, dt, -reach),
+             _grid_index(n, dt, pulse.front_time, side="right"))
+    hi = _grid_index(n, dt, reach)
+
+    store = np.zeros(n + 1, dtype=complex)
+    samples = store.view(float)[n + 2:]  # past the rfft's n/2 + 1 bins
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        samples[start:stop] = _pulse_samples(
+            pulse, np.arange(start - n // 2, stop - n // 2) * dt)
+    half = (n + 1) // 2  # the first bin past the band
+    np.fft.rfft(samples, out=store[:n // 2 + 1])
+    # zero bin 0, the Nyquist bin of an even n and the staged span: the
+    # buffer's other pages past the band are still the untouched zeros of
+    # np.zeros, which do not count as resident until the transform
+    store[0] = 0.0
+    store[half:n // 2 + 1] = 0.0
+    samples[lo:hi] = 0.0
+    for start in range(1, half, _BLOCK):
+        part = store[start:min(start + _BLOCK, half)]
+        part *= 2.0
+        # conjugate: physical coefficients are defined for e^{-i omega t}
+        np.multiply(part, np.conj(_fixed_kx(scenario, _bin_frequencies(
+            n, dt, start, start + len(part)))), out=part)
+    analytic = np.fft.ifft(store[:n], out=store[:n])
+
+    def peak(begin, end):
+        """The largest envelope sample in [begin, end), NaN if any is."""
+        return np.max([np.abs(analytic[i:min(i + _BLOCK, end)]).max()
+                       for i in range(begin, end, _BLOCK)])
+
+    before = peak(0, k)
+    return float(before / np.maximum(before, peak(k, n)))
 
 
 def quasi_static_ratio(scenario: Scenario, pulse: PulseSpec) -> float:

@@ -187,6 +187,18 @@ class TestPulseCommand:
         assert payload["quasi_static_ratio"] is None
         assert payload["quasi_static"] is True
 
+    def test_overflowing_ratio_is_null(self, capsys):
+        # c*fwhm/d = 3e8 * 1e-3 / 1e-303 passes the double range: a 1 ms
+        # pulse on a 1e-4 GHz carrier across a 1e-300 mm gap
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        assert cli.main(["pulse", "--f-ghz", "1e-4", "--fwhm-ns", "1e6",
+                         "--d-mm", "1e-300"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["quasi_static_ratio"] is None
+        assert payload["quasi_static"] is True
+
     def test_series_synthesized_only_for_out(self, monkeypatch, tmp_path,
                                              capsys):
         # the report is measured on the band; only --out reads the

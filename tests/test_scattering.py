@@ -11,7 +11,8 @@ from evanesce import (
     gap_attenuation_db, RegimeError, scatter, wavevectors,
 )
 from evanesce.scattering import (
-    _coefficient, _from_transfer, _normal_wavenumbers, _transfer,
+    _coefficient, _from_transfer, _normal_wavenumbers, _principal_root,
+    _transfer,
 )
 from conftest import random_scenario
 
@@ -329,6 +330,36 @@ class TestSharedKernel:
                 assert (np.complex128(got).tobytes()
                         == np.complex128(want).tobytes()), channel
         assert (res.t == 1) == (d == 0)
+
+
+class TestPrincipalRoot:
+    """The radicands of ``_normal_wavenumbers`` are real, and the root of
+    |x|, placed in the real part or the imaginary one, has the bits of
+    ``np.sqrt(x + 0j)``."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+             2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0,
+             2.0, -2.0, 1e300, -1e300, 1.7976931348623157e308,
+             -1.7976931348623157e308, math.inf, -math.inf]
+
+    def test_array(self):
+        rng = np.random.default_rng(25)
+        x = np.concatenate([self.EDGES, rng.standard_normal(4000)
+                            * 10.0 ** rng.integers(-330, 300, 4000)])
+        got, want = _principal_root(x), np.sqrt(x + 0j)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar(self):
+        for v in self.EDGES:
+            for x in (v, np.float64(v)):
+                got, want = _principal_root(x), np.sqrt(x + 0j)
+                assert type(got) is type(want), v
+                assert got.tobytes() == want.tobytes(), v
+
+    def test_nan(self):
+        got = _principal_root(np.array([math.nan, -math.nan]))
+        assert np.isnan(got.real).all() and np.isnan(got.imag).all()
 
 
 class TestPrismCutoff:
