@@ -120,7 +120,7 @@ from .scattering import _coefficient, _normal_wavenumbers
 # temporary, so the ~20 elementwise passes of ``scattering._transfer`` stay
 # in cache, and the temporaries, which malloc serves from its heap, stay
 # small beside the buffer and the transforms' scratch (8192 bins raised the
-# causality command's peak resident set by 1 MB, 16384 by 2.5 MB).
+# causality command's peak resident set by about 1 MB, 16384 by 3 MB).
 _BLOCK = 4096
 
 # exp(-t^2 / 2 sigma^2) underflows to exactly 0.0 past 38.61 sigma, so the

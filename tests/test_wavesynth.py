@@ -16,10 +16,10 @@ from evanesce import (
     wavevectors,
 )
 from evanesce import scattering, wavesynth
-from evanesce.scattering import _coefficient, _normal_wavenumbers
+from evanesce.scattering import _coefficient
 from evanesce.wavesynth import (
-    _BLOCK, _fixed_angle, _fixed_kx, _grid_index, _one_sided, _peak,
-    _smooth_step, _step, sample_pulse, time_grid,
+    _BLOCK, _fixed_angle, _grid_index, _one_sided, _peak, _smooth_step, _step,
+    sample_pulse, time_grid,
 )
 from conftest import HEADLINE, random_scenario
 from spectral_reference import (
