@@ -102,6 +102,13 @@ _PLAIN = [
     ["pulse", "--channel", "reflection", "--fwhm-ns", "4", "--d-mm", "1e-160"],
     ["pulse", "--d-mm", "100000"],
     ["pulse", "--f-ghz", "1e-4", "--fwhm-ns", "1e6", "--d-mm", "1e-300"],
+    ["pulse", "--d-mm", "5"],
+    ["pulse", "--d-mm", "10"],
+    ["pulse", "--d-mm", "20"],
+    ["pulse", "--d-mm", "5", "--polarization", "TM"],
+    ["pulse", "--d-mm", "10", "--polarization", "TM"],
+    ["pulse", "--d-mm", "20", "--polarization", "TM"],
+    ["pulse", "--channel", "reflection", "--d-mm", "10"],
     ["beam"],
     ["beam", "--out", "{out}"],
     ["beam", "--polarization", "TM", "--out", "{out}"],
