@@ -12,26 +12,25 @@ A pulse is measured on its band, not synthesized.  Under the
 quasi-monochromatic guard (fwhm * carrier > 10) the incident analytic
 signal is e^{-t^2/2 sigma^2} e^{i omega_0 t} to within
 e^{-(omega_0 sigma)^2/2} < 1e-154 of its peak, so the incident envelope is
-that closed-form Gaussian, peaking at t = 0.  The output's band of L bins
-(573 for the default pulse), folded by bin mod m into m samples, m the
-power of two at or above L, gives by one inverse FFT the envelope at every
-(n/m)-th carrier-rate sample, exact in exact arithmetic (``_coarse``): 1024
-samples for 65 536, 12 to 25 to the sigma.  Any single carrier-rate sample
-is a direct sum over the band (``_terms``), with its phases reduced as
-integers.  A peak is a parabola through three envelope samples formed by
-such sums (``_peak``), the incident's at sample n/2 and the output's
-climbed to from the coarse samples' parabola.  The same sums on equal
-bands (d = 0) give a delay of exactly 0.0 and a peak ratio of exactly 1.0.
-Each parabola's slope and curvature come from small sums rather than from
-differences of nearly equal envelope samples, so the peak delay rounds
-below 1e-12 ps.  Samples rounded at ~1e-16 of the peak, three of which
-differ by ~1e-6 of it, would put that floor at about 1e-9 ps.  The width
-walks from the coarse samples to the carrier-rate samples around each
-half-maximum crossing (``_fwhm``), and the shape correlation takes Riemann
-sums over the coarse samples at carrier-rate lags (``_shape_correlation``).
-Both are measured on the band scaled by a power of two, so a band of
-1e-300 is measured as one of 1.  The carrier-rate series is synthesized
-only when it is read (``TimeSeries``).
+that closed-form Gaussian, peaking at t = 0.  The output's envelope is the
+continuous E(t) = sum_k b_k e^{i omega_k t} over its band of L bins (573
+for the default pulse), of which the carrier-rate series holds samples;
+E, E' and E'' at any t are direct sums over the band (``_envelope``).
+Each measurement is a root found by Newton's method (``_newton``) from a
+start on the coarse grid: the band folded by bin mod m into m samples, m
+the power of two at or above L, gives by one inverse FFT the envelope at
+every (n/m)-th carrier-rate sample (``_coarse``), 1024 samples for 65 536,
+12 to 25 to the sigma.  The peak is the root of Re(E* E') (``_peak``),
+each half-maximum crossing that of |E|^2 - |E_peak|^2/2 (``_fwhm``), and
+the shape correlation's lag that of the lag derivative of its Riemann sum
+over the coarse samples (``_shape_correlation``).  Each takes one to three
+steps.  Against Newton's method on the same sums at 40 digits, the peak
+is within 2.3e-13 ps, and the width, the correlation and the amplitude
+within 4.4e-16 relative.  The same steps on equal bands (d = 0) give a
+delay of exactly 0.0 and a peak ratio of exactly 1.0.  All are measured
+on the band scaled by a power of two, so a band of 1e-300 is measured as
+one of 1.  The carrier-rate series is synthesized only when it is read
+(``TimeSeries``).
 
 Where the one-sided spectrum comes from is the one branch of the
 synthesis.  A plain Gaussian pulse takes its closed-form DFT, evaluated
@@ -138,6 +137,10 @@ _FRONT_SPAN = 64
 _BEAM_POINTS = 4096
 _BEAM_SPAN = 32
 
+# Newton steps allowed per root of a pulse measurement; from their coarse
+# starts the measurements take one to three
+_NEWTON_STEPS = 16
+
 
 class GridGuardError(ValueError):
     """Synthesis grid or pulse parameters outside validated territory."""
@@ -172,25 +175,23 @@ class PulseReport:
     """Envelope measurements of a propagated pulse.
 
     ``peak_time`` is the output envelope peak relative to the incident
-    envelope peak at the gap entrance (parabolic interpolation through the
-    three samples bracketing the maximum).  Its round-off floor is below
-    1e-12 ps, which is what it reports wherever the true delay is smaller,
-    as at gaps past about 0.2 m: the headline pulse at 45 degrees reads
-    2.2e-13 (TE) and -1.7e-13 ps (TM) at 0.2 m, 5.8e-13 and 0.0 at 0.4 m,
-    -4.7e-13 and -1.3e-13 at 1 m, -1.5e-13 and -1.4e-13 at 5 m, and
-    1.4e-13 and 2.8e-14 at 90 m, where the same parabola through exact
-    sums reads below 2.7e-13 ps in magnitude and tau_0 below 2e-15 ps.
-    A parabola through the inverse FFT's envelope samples would round at
-    about 1e-9 ps.  From 100 m the band's transmission overflows and no
-    peak is measured.  ``fwhm`` is measured on the intensity envelope,
-    with each half-maximum crossing interpolated between the two
-    carrier-rate samples around it; ``shape_correlation`` is the peak
-    normalized cross-correlation of output and incident envelopes over
-    carrier-rate lags, at most 1; ``peak_amplitude`` is the output/input
-    peak-envelope ratio, taken at the middle samples of the two parabolas.
-    All four are measured on the band, without a carrier-rate synthesis,
-    and the width, the correlation and the delay do not depend on the
-    band's scale, down to reflection at a gap of 1e-300 mm.
+    envelope peak at the gap entrance, each the maximum of its continuous
+    envelope.  Its round-off floor is about 3e-13 ps, which is what it
+    reports wherever the true delay is smaller, as at gaps past about
+    0.2 m: the headline pulse at 45 degrees reads -2.9e-13 (TE) and
+    -5.5e-14 ps (TM) at 0.2 m, 1.4e-14 and -1.4e-13 at 0.4 m, -3.3e-13 and
+    -7.7e-14 at 1 m, 1.4e-13 and -2.5e-13 at 5 m, and 1.7e-13 and -3.0e-14
+    at 90 m, where tau_0 is below 2e-15 ps.  Half of that floor is the
+    band's: its continuous envelope, summed at 40 digits, peaks up to
+    2.6e-13 ps from 0 there, and the measurement within 2.3e-13 ps of it.
+    From 100 m the band's transmission overflows and no peak is measured.
+    ``fwhm`` is the width between the continuous intensity envelope's
+    half-maximum crossings; ``shape_correlation`` is the peak normalized
+    cross-correlation of output and incident envelopes over continuous
+    lags, at most 1; ``peak_amplitude`` is the output/input peak-envelope
+    ratio.  All four are measured on the band, without a carrier-rate
+    synthesis, and the width, the correlation and the delay do not depend
+    on the band's scale, down to reflection at a gap of 1e-300 mm.
     """
 
     peak_time: float
@@ -320,82 +321,62 @@ def _one_sided(pulse: PulseSpec, n: int, dt: float):
         np.arange(lo, hi) % 2, -gauss, gauss)
 
 
-def _terms(n: int, lo: int, band: np.ndarray, j: int) -> np.ndarray:
-    """band_k e^{2 pi i k j/n} on bins k = lo, lo + 1, ...: the terms whose
-    sum is sample j, times n, of the length-n analytic signal whose
-    spectrum is ``band`` there and 0 elsewhere.  k j mod n is reduced as an
-    integer to a quarter turn i^q, exact, times a phase of at most pi/4:
-    with k = lo + i, lo j is reduced as a Python integer and i j is below
-    the band's bin count times n, which ``_propagated`` keeps in range."""
-    eighth = n // 8
-    # k j mod n, in [-n/8, 7n/8)
-    m = ((lo * j) % n + np.arange(len(band)) * j + eighth) % n - eighth
-    quarter = (m + eighth) // (2 * eighth)
-    return (band * np.array([1, 1j, -1, -1j])[quarter]
-            * np.exp((m - 2 * eighth * quarter) * (2j * math.pi / n)))
+def _envelope(n: int, dt: float, band: np.ndarray):
+    """(E, E', E'') at any real t of the continuous envelope, times n, of
+    the length-n analytic signal whose spectrum is ``band`` on consecutive
+    bins, up to a phase common to the three.
 
-
-def _peak(n: int, dt: float, lo: int, band: np.ndarray,
-          j: int) -> tuple[float, float, int]:
-    """(time, envelope times n, sample) of the envelope's peak, climbed to from
-    sample j, of the length-n analytic signal whose spectrum is ``band`` on
-    bins lo, lo + 1, ... and 0 elsewhere: parabolic interpolation through
-    its envelope at the three samples around the peak, evaluated by direct
-    sums over the band.  Sample i lies at t = (i - n/2) dt.
-
-    The terms c_k of sample j are ``_terms``.  Up to a common phase,
-    samples j -/+ 1 are S - (R +/- iQ), with S = sum c_k,
-    R = sum c_k 2 sin^2(phi_k/2), Q = sum c_k sin(phi_k) and
-    phi_k = 2 pi (k - k_c)/n about the bin k_c of the largest term, so
-    that R and Q are small wherever the gap has moved the spectrum's weight
-    within the band.  The envelopes' differences from sample j's are formed
-    from R and Q, so neither the slope nor the curvature of the parabola is
-    a difference of nearly equal envelopes.  Where a neighbour is higher,
-    the climb moves to it and keeps its direction.  A real band at j = n/2
-    has R + iQ and R - iQ conjugate, and so an envelope symmetric about
-    t = 0 to the last bit.
+    E(t) = sum_k band_k (-1)^k e^{i omega_k t} is the trigonometric
+    polynomial whose samples at t = (j - n/2) dt the inverse FFT gives; the
+    (-1)^k undoes the band's own, which put t = 0 at sample n/2.  The phases
+    are taken about the bin k_c of the largest term, (k - k_c) 2 pi/(n dt) t,
+    so that E' and E'' weigh the band's spread rather than the carrier;
+    |E|^2, Re(E* E') and its derivative do not depend on that choice.
     """
-    phi = (np.arange(len(band)) - np.argmax(np.abs(band))) * (2 * math.pi / n)
-    bend, tilt = 2 * np.sin(phi / 2) ** 2, np.sin(phi)
-    step = 0
-    while True:
-        terms = _terms(n, lo, band, j)
-        middle = complex(np.sum(terms))
-        y1 = abs(middle)
-        if j == 0 or j == n - 1:
-            return float((j - n // 2) * dt), y1, j
+    centre = int(np.argmax(np.abs(band)))
+    offsets = np.arange(-centre, len(band) - centre)
+    omegas = offsets * (2 * math.pi / (n * dt))
+    squares = omegas * omegas
+    terms = np.where(offsets % 2, -band, band)
 
-        def rise(u):
-            """|middle - u| - |middle|, from |u|^2 - 2 Re(conj(middle) u)."""
-            return ((u.real ** 2 + u.imag ** 2
-                     - 2 * (middle.conjugate() * u).real)
-                    / (abs(middle - u) + y1))
+    def at(t: float) -> tuple[complex, complex, complex]:
+        phased = terms * np.exp(1j * (omegas * t))
+        return (complex(phased.sum()), 1j * complex(phased @ omegas),
+                -complex(phased @ squares))
 
-        r, q = complex(np.sum(terms * bend)), complex(np.sum(terms * tilt))
-        before, after = rise(r + 1j * q), rise(r - 1j * q)
-        uphill = (-1 if before > max(after, 0.0)
-                  else 1 if after > max(before, 0.0) else 0)
-        if uphill in (0, -step):
+    return at
+
+
+def _newton(slope, t: float, reach: float, what: str) -> float:
+    """The root near t of the function whose value and derivative at any t
+    are ``slope(t)``, by Newton's method.  Each step is at most ``reach``, a
+    coarse sample spacing; the method ends after a step below 2^-26 of it,
+    which leaves an error of order 2^-52 reach^2/sigma, below round-off.  A
+    longer step, a zero derivative or no such step in _NEWTON_STEPS raises
+    GridGuardError."""
+    for _ in range(_NEWTON_STEPS):
+        value, derivative = slope(t)
+        if value == 0:
+            return t
+        if not abs(value) <= reach * abs(derivative):  # also NaN
             break
-        j, step = j + uphill, uphill
-    time = (j - n // 2) * dt
-    curvature = before + after
-    if curvature == 0:
-        return float(time), y1, j
-    return float(time + 0.5 * dt * (before - after) / curvature), y1, j
+        step = value / derivative
+        t -= step
+        if abs(step) <= reach * 2.0 ** -26:
+            return t
+    raise GridGuardError(f"no {what} found: Newton's method did not converge "
+                         f"in {_NEWTON_STEPS} steps of at most {reach:.3g} s")
 
 
-def _climb(value, j: int) -> float:
-    """The local maximum of ``value`` over the integers reached from j by
-    unit steps uphill."""
-    here = value(j)
-    for step in (1, -1):
-        moved = False
-        while (there := value(j + step)) > here:
-            j, here, moved = j + step, there, True
-        if moved:
-            break
-    return here
+def _peak(envelope, t: float, reach: float) -> float:
+    """The time of the envelope's maximum near t: the root of
+    (|E|^2)'/2 = Re(E* E'), whose derivative is |E'|^2 + Re(E* E'')."""
+    def slope(t):
+        e, e1, e2 = envelope(t)
+        return ((e.conjugate() * e1).real,
+                abs(e1) ** 2 + (e.conjugate() * e2).real)
+
+    return _newton(slope, t, reach, "envelope peak")
 
 
 def _coarse(n: int, lo: int, band: np.ndarray) -> np.ndarray:
@@ -411,82 +392,62 @@ def _coarse(n: int, lo: int, band: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.ifft(folded, norm="forward"))
 
 
-def _edge(intensity, half: float, i: int, step: int, n: int) -> int:
-    """The outermost sample, in the direction ``step``, of the run at or
-    above ``half`` nearest sample i, walked to by unit steps."""
-    while intensity(i) < half:
-        i -= step
-    while 0 <= i + step < n and intensity(i + step) >= half:
-        i += step
-    return i
-
-
-def _fwhm(t: np.ndarray, lo: int, band: np.ndarray, coarse: np.ndarray,
-          j: int) -> float:
-    """Full width at half maximum of the intensity envelope whose peak
-    sample is j.  Each crossing is placed by linear interpolation between
-    the coarse samples (``_coarse``) around it, walked to at the carrier
-    rate by direct sums (``_terms``), and interpolated linearly between
-    the two samples around it.  The coarse samples lie 12 to 25 to the
-    sigma, so the walk is a step or two.
-    """
-    n, m = len(t), len(coarse)
+def _fwhm(envelope, coarse: np.ndarray, n: int, dt: float,
+          peak: float) -> float:
+    """Full width at half maximum of the intensity |E|^2 whose maximum is
+    at ``peak``.  Each crossing is the root of |E|^2 - |E(peak)|^2/2, whose
+    derivative is 2 Re(E* E'), from a linear interpolation between the
+    coarse samples (``_coarse``) around it, 12 to 25 to the sigma."""
+    m = len(coarse)
     stride = n // m
-
-    @functools.cache
-    def intensity(i):
-        return abs(complex(np.sum(_terms(n, lo, band, i)))) ** 2
-
-    half = intensity(j) / 2
+    half = abs(envelope(peak)[0]) ** 2 / 2
     # the coarse sample nearest the peak is above half
     above = np.flatnonzero(coarse ** 2 >= half)
 
-    def guess(s, outward):
-        """The sample at the crossing between coarse samples s and
-        s + outward, interpolated linearly."""
+    def excess(t):
+        e, e1, _ = envelope(t)
+        return abs(e) ** 2 - half, 2 * (e.conjugate() * e1).real
+
+    def crossing(s, outward):
         inner, outer = coarse[s] ** 2, coarse[(s + outward) % m] ** 2
         frac = (inner - half) / (inner - outer) if inner > outer else 0.0
-        return min(max(round((s + outward * frac) * stride), 0), n - 1)
+        return _newton(excess, ((s + outward * frac) * stride - n // 2) * dt,
+                       stride * dt, "half-maximum crossing")
 
-    i0 = _edge(intensity, half, guess(above[0], -1), -1, n)
-    i1 = _edge(intensity, half, guess(above[-1], 1), 1, n)
-    if i0 == i1:
-        raise GridGuardError("grid too coarse to resolve the envelope width")
-
-    def cross(j_out, j_in):
-        y0, y1 = intensity(j_out), intensity(j_in)
-        frac = (half - y0) / (y1 - y0)
-        return t[j_out] + frac * (t[j_in] - t[j_out])
-
-    left = cross(i0 - 1, i0) if i0 > 0 else t[i0]
-    right = cross(i1 + 1, i1) if i1 < n - 1 else t[i1]
-    return float(right - left)
+    return crossing(above[-1], 1) - crossing(above[0], -1)
 
 
-def _shape_correlation(n: int, coarse: np.ndarray, energy: float, dt: float,
-                       sigma: float, j: int) -> float:
+def _shape_correlation(coarse: np.ndarray, n: int, dt: float, sigma: float,
+                       lag: float) -> float:
     """Peak normalized cross-correlation of the output envelope with the
-    incident one, e^{-t^2/2 sigma^2} at t = (i - n/2) dt, over carrier-rate
-    lags, climbing from the lag j - n/2 of the output peak.
+    incident one, e^{-t^2/2 sigma^2}, over continuous lags: Newton on its
+    lag derivative from ``lag``, the output peak.
 
-    At each lag the sum over the n samples is the Riemann sum over the m
-    coarse ones (``_coarse``, the envelope times n), which holds it to
-    round-off: a product of Gaussians sampled 12 to 25 times per sigma.  The
-    output's sum of squares is ``energy``/n by Parseval, with ``energy``
-    the band's, and the incident's is the closed form sigma sqrt(pi)/dt.
-    The result is at most 1 by Cauchy-Schwarz; where round-off passes 1,
-    as at d = 0, where the shapes are equal, it is 1.
+    At each lag the sum over the n carrier-rate samples is the Riemann sum
+    over the m coarse ones (``_coarse``, the envelope times n), which holds
+    it to round-off: a product of Gaussians sampled 12 to 25 times per
+    sigma.  With u = (t - lag)/sigma and weights w = |E| e^{-u^2/2}, the
+    derivative is sum w u/sigma and its own sum w (u^2 - 1)/sigma^2.  The
+    correlation of the two unit vectors of samples is formed as
+    1 - |a - b|^2/2, which keeps its deficit from 1 to relative round-off:
+    at most 1, and exactly 1 at d = 0, where the shapes are equal.
     """
     m = len(coarse)
-    samples = np.arange(m) * (n // m)
+    times = (np.arange(m) * (n // m) - n // 2) * (dt / sigma)
 
-    def overlap(lag):
-        # the incident envelope is periodic in the window, as the FFT's is
-        tau = ((samples - lag) % n - n // 2) * dt
-        return float(np.dot(coarse, np.exp(-tau ** 2 / (2 * sigma ** 2))))
+    def weights(lag):
+        u = times - lag / sigma
+        return coarse * np.exp(-u * u / 2), u
 
-    norm = m * math.sqrt(energy / n * (sigma * math.sqrt(math.pi) / dt))
-    return min(_climb(overlap, j - n // 2) / norm, 1.0)
+    def slope(lag):
+        w, u = weights(lag)
+        return float(w @ u), float(w @ (u * u) - w.sum()) / sigma
+
+    best = _newton(slope, lag, n // m * dt, "correlation lag")
+    incident = np.exp(-(times - best / sigma) ** 2 / 2)
+    gap = (coarse / math.sqrt(coarse @ coarse)
+           - incident / math.sqrt(incident @ incident))
+    return 1.0 - float(gap @ gap) / 2
 
 
 def _check_quasi_monochromatic(pulse: PulseSpec) -> None:
@@ -518,8 +479,8 @@ def _fixed_kx(scenario: Scenario, omegas: np.ndarray) -> np.ndarray:
 
 
 def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
-    """(band start, filtered band, carrier factor, scaled band, coarse
-    envelope, output peak sample, peak delay, peak amplitude) of one channel
+    """(band start, filtered band, carrier factor, output envelope, coarse
+    envelope, output peak time, peak delay, peak amplitude) of one channel
     at fixed incidence angle, on the pulse grid.
 
     Transmission is formed relative to the carrier's gap factor
@@ -530,14 +491,13 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     Nothing is synthesized at the carrier rate.  The filtered band is
     scaled by the power of two that brings its largest magnitude into
     [1/2, 1), so that no sum of squares leaves the normal range, and its
-    envelope is measured on the coarse grid of ``_coarse`` and by direct
-    sums at the carrier rate.  The output peak is climbed to from the
-    coarse samples' parabola.  The incident envelope peaks at sample n/2
-    (t = 0); the delay and the ratio of the peaks are measured on the
-    envelope at the three samples around each peak, by the same direct sums
-    over the incident band and the filtered band (``_peak``): where the two
-    bands are equal, as at d = 0, the delay is exactly 0.0 and the ratio
-    exactly 1.0.  The scale is applied back only to the peak amplitude.
+    continuous envelope (``_envelope``) and coarse samples (``_coarse``)
+    are measured.  Both peaks are found by ``_peak`` from the vertex of the
+    parabola through the three coarse samples around the output's largest,
+    the incident's on the incident band, whose envelope peaks at t = 0:
+    where the two bands are equal, as at d = 0, the same steps give a delay
+    of exactly 0.0 and a ratio of the peaks of exactly 1.0.  The scale is
+    applied back only to the peak amplitude.
     """
     if pulse.front_time is not None:
         raise ValueError("pulse propagation measures a plain Gaussian pulse; "
@@ -546,7 +506,6 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     n, dt = _grid_size(pulse, _DT_FACTOR, _PULSE_SPAN), _step(pulse, _DT_FACTOR)
     _require_live(scenario, channel)
     lo, omegas, band = _one_sided(pulse, n, dt)
-    _require_array_size(n * len(band), "samples")  # the int64 phases of _terms
     beta0 = cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
     # on the fixed-angle drive beta is proportional to omega, so
     # e^{i(beta - beta0) d} is largest on the band's lowest bin; e^709.78
@@ -570,19 +529,20 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     exponent = math.frexp(largest)[1]
     scaled = np.ldexp(filtered.view(float), -exponent).view(complex)
     coarse = _coarse(n, lo, scaled)
-    # the coarse peak's parabola puts the carrier-rate peak within a
-    # sample or two of its vertex
+    stride = n // len(coarse)
     s = int(np.argmax(coarse))
     y0, y1, y2 = coarse[s - 1], coarse[s], coarse[(s + 1) % len(coarse)]
     curvature = y0 - 2 * y1 + y2
     vertex = s + (0.5 * (y0 - y2) / curvature if curvature else 0.0)
-    j = min(max(round(vertex * (n // len(coarse))), 0), n - 1)
-    peak_out, value_out, j = _peak(n, dt, lo, scaled, j)
-    peak_in, value_in, _ = _peak(n, dt, lo, band, n // 2)
+    start = (vertex * stride - n // 2) * dt
+    envelope, incident = _envelope(n, dt, scaled), _envelope(n, dt, band)
+    peak_out = _peak(envelope, start, stride * dt)
+    peak_in = _peak(incident, start, stride * dt)
     carrier = (cmath.exp(1j * beta0 * scenario.d)
                if channel is Channel.TRANSMISSION else 1.0)
-    return (lo, filtered, carrier, scaled, coarse, j, peak_out - peak_in,
-            math.ldexp(value_out / value_in, exponent) * abs(carrier))
+    ratio = abs(envelope(peak_out)[0]) / abs(incident(peak_in)[0])
+    return (lo, filtered, carrier, envelope, coarse, peak_out,
+            peak_out - peak_in, math.ldexp(ratio, exponent) * abs(carrier))
 
 
 def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
@@ -598,15 +558,14 @@ def propagate_pulse(scenario: Scenario, pulse: PulseSpec,
     """
     # the grid first: a request too large for memory fails before measuring
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
-    lo, filtered, carrier, band, coarse, j, peak_time, peak_amplitude = \
+    lo, filtered, carrier, envelope, coarse, peak, delay, amplitude = \
         _propagated(scenario, pulse, channel)
+    n, dt = len(t), _step(pulse, _DT_FACTOR)
     report = PulseReport(
-        peak_time=peak_time,
-        fwhm=_fwhm(t, lo, band, coarse, j),
-        shape_correlation=_shape_correlation(
-            len(t), coarse, float(np.vdot(band, band).real),
-            _step(pulse, _DT_FACTOR), pulse.sigma, j),
-        peak_amplitude=peak_amplitude,
+        peak_time=delay,
+        fwhm=_fwhm(envelope, coarse, n, dt, peak),
+        shape_correlation=_shape_correlation(coarse, n, dt, pulse.sigma, peak),
+        peak_amplitude=amplitude,
     )
     return TimeSeries(t, channel, lo, filtered, carrier), report
 

@@ -10,10 +10,13 @@ whose k_x lies past the prism cone that ``scatter`` admits, from
 the spectrum is nonzero, with one closed-form coefficient; the tests
 compare the two.
 
-``carrier_rate_pulse`` is the pulse measured at the carrier rate: the
-filtered band's length-n inverse FFT, its envelope's argmax, half-maximum
-crossings and FFT cross-correlation, which ``propagate_pulse`` replaces by
-measurements on the band.
+``carrier_rate_series`` is the propagated series synthesized at the
+carrier rate, the filtered band's length-n inverse FFT, against which the
+lazily synthesized ``TimeSeries`` is checked.  ``continuous_pulse`` is the
+pulse report measured on the continuous envelope of the same band at 40
+digits (mpmath): Newton's method on E, E' and E'' for the peak and the
+half-maximum crossings, and the continuous-lag maximum of the coarse
+Riemann sum for the shape correlation.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from evanesce import (
     Channel, PulseReport, PulseSpec, Scenario, scatter, wavevectors,
 )
 from evanesce.scattering import _normal_wavenumbers, _transfer
 from evanesce.wavesynth import (
-    _DT_FACTOR, _PULSE_SPAN, _fixed_angle, _one_sided, _peak, _step, time_grid,
+    _DT_FACTOR, _PULSE_SPAN, _fixed_angle, _one_sided, _step, time_grid,
 )
 
 
@@ -103,28 +108,6 @@ def analytic_envelope(values: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.ifft(np.where(pos, 2.0 * spectrum, 0.0)))
 
 
-def exact_peak(t: np.ndarray, dt: float, lo: int, band: np.ndarray,
-               j: int) -> tuple[float, float]:
-    """``wavesynth._peak`` at 40 digits: the envelope, times n, at samples
-    j - 1, j and j + 1 of the analytic signal whose spectrum is ``band`` on
-    bins lo, lo + 1, ..., as sums of the double band times exact phases
-    e^{2 pi i k m/n}, and the parabola through them.  Returns (time, the
-    envelope at j)."""
-    import mpmath as mp
-
-    n = len(t)
-    with mp.workdps(40):
-        env = []
-        for m in (j - 1, j, j + 1):
-            total = mp.mpc(0)
-            for k, value in enumerate(band, start=lo):
-                total += mp.mpc(complex(value)) * mp.expjpi(mp.mpf(2 * (k * m % n)) / n)
-            env.append(abs(total))
-        y0, y1, y2 = env
-        peak = mp.mpf(float(t[j])) + mp.mpf(dt) / 2 * (y0 - y2) / (y0 - 2 * y1 + y2)
-        return float(peak), float(y1)
-
-
 def incident_envelope(n: int, sigma: float, dt: float):
     """The ``rfft`` of the incident envelope e^{-t^2/2 sigma^2} sampled at
     t = (j - n/2) dt, on the bins where it is nonzero, and its sum of
@@ -143,60 +126,164 @@ def incident_envelope(n: int, sigma: float, dt: float):
     return spectrum, sigma * math.sqrt(math.pi) / dt
 
 
-def envelope_fwhm(t: np.ndarray, env: np.ndarray) -> float:
-    """Full width at half maximum of the intensity ``env``^2: the first and
-    last samples at or above half its maximum, each crossing interpolated
-    linearly with the sample outside it."""
-    intensity = env ** 2
-    half = intensity.max() / 2
-    above = np.flatnonzero(intensity >= half)
-    i0, i1 = above[0], above[-1]
-
-    def cross(j_out, j_in):
-        y0, y1 = intensity[j_out], intensity[j_in]
-        frac = (half - y0) / (y1 - y0)
-        return t[j_out] + frac * (t[j_in] - t[j_out])
-
-    left = cross(i0 - 1, i0) if i0 > 0 else t[i0]
-    right = cross(i1 + 1, i1) if i1 < len(t) - 1 else t[i1]
-    return float(right - left)
-
-
-def envelope_correlation(env: np.ndarray, sigma: float, dt: float) -> float:
-    """Peak normalized cross-correlation of ``env`` with the incident
-    envelope on the same grid, by ``rfft``/``irfft`` over every lag."""
-    n = len(env)
-    spectrum, energy = incident_envelope(n, sigma, dt)
-    cross = np.fft.rfft(env)
-    cross[:len(spectrum)] *= spectrum  # real: its own conjugate
-    cross[len(spectrum):] = 0.0
-    corr = np.fft.irfft(cross, n)
-    return float(corr.max() / math.sqrt(float(np.sum(env ** 2)) * energy))
-
-
-def carrier_rate_pulse(scenario: Scenario, pulse: PulseSpec,
-                       channel: Channel = Channel.TRANSMISSION):
-    """(series values, report) of ``propagate_pulse`` synthesized and
-    measured at the carrier rate: the filtered band in a zeroed length-n
-    buffer, one inverse FFT, the envelope's argmax as the start of the
-    output peak (``_peak``), ``envelope_fwhm`` and
-    ``envelope_correlation``."""
+def carrier_rate_series(scenario: Scenario, pulse: PulseSpec,
+                        channel: Channel = Channel.TRANSMISSION) -> np.ndarray:
+    """The real series of ``propagate_pulse`` synthesized at the carrier
+    rate: the filtered band in a zeroed length-n buffer, one inverse FFT,
+    and the carrier's gap factor applied."""
     t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
-    n, dt = len(t), _step(pulse, _DT_FACTOR)
-    lo, omegas, band = _one_sided(pulse, n, dt)
+    lo, omegas, band = _one_sided(pulse, len(t), _step(pulse, _DT_FACTOR))
     filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel, omegas)))
-    spectrum = np.zeros(n, dtype=complex)
+    spectrum = np.zeros(len(t), dtype=complex)
     spectrum[lo:lo + len(band)] = filtered
     analytic = np.fft.ifft(spectrum, out=spectrum)
-    env = np.abs(analytic)
-    peak_out, value_out, _ = _peak(n, dt, lo, filtered, int(np.argmax(env)))
-    peak_in, value_in, _ = _peak(n, dt, lo, band, n // 2)
-    carrier = 1.0
-    if channel is Channel.TRANSMISSION:
-        carrier = cmath.exp(1j * cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
-                            * scenario.d)
-    report = PulseReport(
-        peak_time=peak_out - peak_in, fwhm=envelope_fwhm(t, env),
-        shape_correlation=envelope_correlation(env, pulse.sigma, dt),
-        peak_amplitude=value_out / value_in * abs(carrier))
-    return (analytic * carrier.conjugate()).real, report
+    return (analytic * _carrier(scenario, channel).conjugate()).real
+
+
+def _carrier(scenario: Scenario, channel: Channel) -> complex:
+    """The carrier's gap factor e^{i beta_0 d} of transmission, 1 for
+    reflection."""
+    if channel is Channel.REFLECTION:
+        return 1.0
+    return cmath.exp(1j * cmath.sqrt(wavevectors(scenario).k_z_gap_sq)
+                     * scenario.d)
+
+
+_DIGITS = 40
+
+
+def band_envelope(n: int, dt: float, lo: int, band: np.ndarray):
+    """(E, E', E'') at 40 digits, at any mpf t, of the continuous envelope,
+    times n, of the length-n analytic signal whose spectrum is ``band`` on
+    bins lo, lo + 1, ...: E(t) = sum_k band_k (-1)^k e^{i omega_k t}, with
+    omega_k = 2 pi k/(n dt) exact, up to a phase common to the three.
+
+    The sums run over the bins from the first to the last whose term
+    reaches 2^-110 of the largest, as band_k (-1)^k z^(k - k0), with
+    z = e^{2 pi i t/(n dt)} and its powers formed by multiplication.  The
+    bins left out, fewer than 2^10 terms below 2^-110 of the largest, move
+    E'' by under 1e-27 of its scale, far below double precision.
+    """
+    size = np.abs(band)
+    (kept,) = np.nonzero(size >= size.max() * 2.0 ** -110)
+    first, last = int(kept[0]), int(kept[-1]) + 1
+    with mp.workdps(_DIGITS):
+        step = 2 * mp.pi / (n * mp.mpf(dt))
+        terms = [mp.mpc(complex(value)) * (-1) ** (lo + first + i)
+                 for i, value in enumerate(band[first:last])]
+        firsts = [i * term for i, term in enumerate(terms)]
+        seconds = [i * term for i, term in enumerate(firsts)]
+
+    def at(t):
+        with mp.workdps(_DIGITS):
+            z = mp.expj(step * t)
+            powers = [mp.mpc(1)]
+            for _ in terms[1:]:
+                powers.append(powers[-1] * z)
+            return (mp.fdot(terms, powers), 1j * step * mp.fdot(firsts, powers),
+                    -step ** 2 * mp.fdot(seconds, powers))
+
+    return at
+
+
+def _newton(slope, t, scale):
+    """The root near t, at 40 digits, of the function whose value and
+    derivative ``slope`` gives: Newton's method until a step is below
+    1e-28 of ``scale``."""
+    with mp.workdps(_DIGITS):
+        t = mp.mpf(t)
+        for _ in range(20):
+            value, derivative = slope(t)
+            step = value / derivative
+            t -= step
+            if abs(step) <= 1e-28 * scale:
+                return t
+    raise AssertionError("the reference's Newton's method did not converge")
+
+
+def exact_peak(envelope, t, scale):
+    """(time, |E| there) of the envelope's maximum near t, at 40 digits:
+    Newton's method on Re(E* E'), whose derivative is |E'|^2 + Re(E* E'')."""
+    def slope(t):
+        e, e1, e2 = envelope(t)
+        return (mp.re(mp.conj(e) * e1),
+                abs(e1) ** 2 + mp.re(mp.conj(e) * e2))
+
+    peak = _newton(slope, t, scale)
+    return peak, abs(envelope(peak)[0])
+
+
+def exact_crossing(envelope, half, t, scale):
+    """The time near t at which |E|^2 = ``half``, at 40 digits: Newton's
+    method on |E|^2 - half, whose derivative is 2 Re(E* E')."""
+    def slope(t):
+        e, e1, _ = envelope(t)
+        return abs(e) ** 2 - half, 2 * mp.re(mp.conj(e) * e1)
+
+    return _newton(slope, t, scale)
+
+
+def riemann_correlation(n: int, dt: float, lo: int, band: np.ndarray,
+                        sigma: float, peak: float) -> float:
+    """The shape correlation as the continuous-lag maximum of the Riemann
+    sum over every (n/m)-th carrier-rate sample, m the power of two at or
+    above the band's bin count.
+
+    The samples are taken from the band's length-n inverse FFT, the lag is
+    found by bounded Brent minimization within one sample spacing of
+    ``peak``, and the sums of squares are Parseval's, energy/n, and the
+    closed form sigma sqrt(pi)/dt, after the band is divided by its
+    largest magnitude.
+    """
+    m = 1 << (len(band) - 1).bit_length()
+    band = band / np.abs(band).max()
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[lo:lo + len(band)] = band
+    samples = np.arange(m) * (n // m)
+    envelope = np.abs(np.fft.ifft(spectrum, norm="forward"))[samples]
+    times = (samples - n // 2) * dt
+
+    def overlap(lag):
+        return float(envelope @ np.exp(-(times - lag) ** 2 / (2 * sigma ** 2)))
+
+    spacing = (n // m) * dt
+    best = minimize_scalar(lambda lag: -overlap(lag), method="bounded",
+                           bounds=(peak - spacing, peak + spacing),
+                           options={"xatol": 1e-12 * spacing})
+    energy = float(np.vdot(band, band).real)
+    return overlap(best.x) / (m * math.sqrt(
+        energy / n * (sigma * math.sqrt(math.pi) / dt)))
+
+
+def continuous_pulse(scenario: Scenario, pulse: PulseSpec,
+                     channel: Channel = Channel.TRANSMISSION,
+                     near: PulseReport | None = None) -> PulseReport:
+    """``propagate_pulse``'s report measured on the continuous envelopes of
+    the incident and the filtered band at 40 digits.
+
+    The incident band is real, so its envelope peaks at exactly t = 0,
+    where Re(E* E') vanishes term by term, and the peak delay is the output
+    peak's time.  The output peak and half-maximum crossings are Newton's
+    roots from the peak and crossings of ``near`` where it is given (two
+    steps from a measured report), and otherwise from those of the incident
+    pulse, 0 and +/- fwhm/2.  The correlation is ``riemann_correlation``
+    about the 40-digit peak.
+    """
+    t = time_grid(pulse, _DT_FACTOR, _PULSE_SPAN)
+    n, dt, sigma = len(t), _step(pulse, _DT_FACTOR), pulse.sigma
+    lo, omegas, band = _one_sided(pulse, n, dt)
+    filtered = np.multiply(band, np.conj(_fixed_angle(scenario, channel, omegas)))
+    envelope = band_envelope(n, dt, lo, filtered)
+    start, width = (0.0, pulse.fwhm) if near is None else (near.peak_time, near.fwhm)
+    with mp.workdps(_DIGITS):
+        peak, value = exact_peak(envelope, start, sigma)
+        half = value ** 2 / 2
+        fwhm = (exact_crossing(envelope, half, peak + width / 2, sigma)
+                - exact_crossing(envelope, half, peak - width / 2, sigma))
+        value_in = abs(band_envelope(n, dt, lo, band)(mp.mpf(0))[0])
+        amplitude = value / value_in * abs(_carrier(scenario, channel))
+    return PulseReport(
+        peak_time=float(peak), fwhm=float(fwhm),
+        shape_correlation=riemann_correlation(n, dt, lo, filtered, sigma,
+                                              float(peak)),
+        peak_amplitude=float(amplitude))

@@ -18,13 +18,15 @@ from evanesce import (
 from evanesce import scattering, wavesynth
 from evanesce.scattering import _coefficient
 from evanesce.wavesynth import (
-    _BLOCK, _fixed_angle, _grid_index, _one_sided, _peak, _smooth_step, _step,
-    sample_pulse, time_grid,
+    _BLOCK, _envelope, _fixed_angle, _grid_index, _newton, _one_sided, _peak,
+    _smooth_step, _step, sample_pulse, time_grid,
 )
+from scipy.optimize import minimize_scalar
 from conftest import HEADLINE, random_scenario
 from spectral_reference import (
-    analytic_envelope, apply_channel, carrier_rate_pulse, exact_peak,
-    filtered_analytic, gaussian_spectrum, incident_envelope,
+    analytic_envelope, apply_channel, band_envelope, carrier_rate_series,
+    continuous_pulse, exact_peak, filtered_analytic, gaussian_spectrum,
+    incident_envelope,
 )
 
 PULSE = PulseSpec(fwhm=16e-9, carrier=9.15e9)
@@ -120,9 +122,11 @@ class TestPulsePropagation:
     @pytest.mark.parametrize("d", [0.01, 0.04, 1.0])
     def test_shape_correlation_matches_complex_transforms(self, headline, d):
         # against complex transforms of the carrier-rate output envelope and
-        # of the sampled closed-form incident envelope over every lag: the
-        # coarse Riemann sums, Parseval's sum of squares and the closed-form
-        # incident one round in another order, a few ulps of 1 apart
+        # of the sampled closed-form incident envelope, whose best
+        # carrier-rate lag brackets the continuous one; there the incident
+        # envelope is its closed form and the lag is found by Brent's
+        # method.  The coarse Riemann sums and the full carrier-rate ones
+        # round in another order, a few ulps of 1 apart
         s = replace(headline, d=d)
         t = time_grid(PULSE, 16, 16)
         lo, omegas, band = _one_sided(PULSE, len(t), _step(PULSE, 16))
@@ -132,7 +136,17 @@ class TestPulsePropagation:
         env_out = np.abs(np.fft.ifft(spectrum))
         env_in = np.exp(-t ** 2 / (2 * PULSE.sigma ** 2))
         corr = np.fft.ifft(np.fft.fft(env_out) * np.conj(np.fft.fft(env_in))).real
-        want = corr.max() / math.sqrt(np.sum(env_out ** 2) * np.sum(env_in ** 2))
+        dt = _step(PULSE, 16)
+        lag = (np.argmax(corr) + len(t) // 2) % len(t) * dt + t[0]
+
+        def overlap(lag):
+            return float(env_out @ np.exp(-(t - lag) ** 2 / (2 * PULSE.sigma ** 2)))
+
+        best = minimize_scalar(lambda lag: -overlap(lag), method="bounded",
+                               bounds=(lag - dt, lag + dt),
+                               options={"xatol": 1e-9 * dt})
+        want = overlap(best.x) / math.sqrt(np.sum(env_out ** 2)
+                                           * np.sum(env_in ** 2))
         assert abs(propagate_pulse(s, PULSE)[1].shape_correlation - want) \
             <= 4 * np.finfo(float).eps
 
@@ -149,9 +163,9 @@ class TestPulsePropagation:
         assert len(series.t_samples) == len(series.values) == 65536
         assert _step(PULSE, 16) == 1 / (16 * PULSE.carrier)
         # measured on the band's 573 bins and on the power of two above them
-        _, filtered, _, scaled, coarse, *_ = wavesynth._propagated(
+        _, filtered, _, _, coarse, *_ = wavesynth._propagated(
             headline, PULSE, Channel.TRANSMISSION)
-        assert len(filtered) == len(scaled) == 573
+        assert len(filtered) == 573
         assert len(coarse) == 1024
 
     def test_front_pulse_rejected(self, headline):
@@ -183,7 +197,8 @@ class TestPulsePropagation:
                 assert got.shape_correlation <= 1.0
                 assert got.shape_correlation == pytest.approx(
                     want.shape_correlation, rel=1e-12)
-                assert got.peak_time == want.peak_time
+                # both delays are round-off about 0 (1.5e-39 and 0.0 s)
+                assert abs(got.peak_time - want.peak_time) <= 1e-30
                 assert got.peak_amplitude / d == pytest.approx(
                     want.peak_amplitude / 1e-103, rel=1e-12)
             assert propagate_pulse(replace(headline, d=1e-303), PULSE)[1] \
@@ -430,13 +445,13 @@ class TestIncidentClosedForm:
 
 
 class TestPeakSums:
-    """``_peak`` against the same direct sums and parabola at 40 digits.
-
-    Envelope samples rounded at ~1e-16 of the peak would move the
-    parabola's offset by 3.8e-10 ps per ulp, since it divides their
-    difference by a curvature of (dt/sigma)^2 ~ 1e-6 of the peak.  ``_peak``
-    forms the slope and curvature from small sums instead; within 7.5e-25 s
-    of the 40-digit sums on these bands."""
+    """``_peak`` on the continuous envelope (``_envelope``) against Newton's
+    method at 40 digits on the same band (``exact_peak``), each from its
+    own start: the kernel's from half a coarse spacing to either side of
+    the peak, the reference's from t = 0, the incident peak.  The
+    derivatives weigh the band's offsets from its largest bin, so the peak
+    rounds near 1e-25 s rather than at the carrier's 1e-16 of sigma/(omega_0
+    sigma)."""
 
     @pytest.mark.parametrize("d, polarization, channel", [
         (0.0, Polarization.TE, Channel.TRANSMISSION),
@@ -445,25 +460,26 @@ class TestPeakSums:
         (0.4, Polarization.TE, Channel.TRANSMISSION),   # delay ~1e-13 ps
     ])
     def test_against_exact_sums(self, d, polarization, channel):
-        # from either neighbour of the peak sample the climb reaches it
         s = Scenario(**{**HEADLINE, "d": d}, polarization=polarization)
-        t = time_grid(PULSE, 16, 16)
-        n, dt = len(t), _step(PULSE, 16)
+        n, dt = len(time_grid(PULSE, 16, 16)), _step(PULSE, 16)
+        reach = n // 1024 * dt  # the coarse spacing
         lo, omegas, band = _one_sided(PULSE, n, dt)
         filtered = np.multiply(band, np.conj(_fixed_angle(s, channel, omegas)))
         for spectrum in (band, filtered):
-            peaks = {_peak(n, dt, lo, spectrum, j)
-                     for j in (n // 2 - 1, n // 2, n // 2 + 1)}
-            assert len(peaks) == 1
-            ((time, value, j),) = peaks
-            want_time, want_value = exact_peak(t, dt, lo, spectrum, j)
-            assert abs(time - want_time) <= 2e-24  # 2e-12 ps
-            assert value == pytest.approx(want_value, rel=1e-15)
+            want_time, want_value = exact_peak(
+                band_envelope(n, dt, lo, spectrum), 0.0, PULSE.sigma)
+            envelope = _envelope(n, dt, spectrum)
+            for start in (-reach / 2, reach / 2):
+                time = _peak(envelope, float(want_time) + start, reach)
+                assert abs(time - want_time) <= 1e-24  # 1e-12 ps
+                assert abs(envelope(time)[0]) == pytest.approx(
+                    float(want_value), rel=1e-15)
 
     def test_incident_peak_is_exactly_zero(self):
+        # the incident band is real: Re(E* E') is 0.0 at t = 0 term by term
         n, dt = len(time_grid(PULSE, 16, 16)), _step(PULSE, 16)
         lo, _, band = _one_sided(PULSE, n, dt)
-        assert _peak(n, dt, lo, band, n // 2)[::2] == (0.0, n // 2)
+        assert _peak(_envelope(n, dt, band), 0.0, n // 1024 * dt) == 0.0
 
 
 def band_measurement_cases():
@@ -479,24 +495,84 @@ def band_measurement_cases():
 
 
 class TestBandMeasurement:
-    """The report measured on the band (a coarse inverse FFT and direct
-    sums) against the same pulse measured at the carrier rate
-    (``carrier_rate_pulse``): the peak is found on the same sample, so its
-    time and amplitude keep every bit, while the width and the correlation
-    are formed from other samples and sums, within 1e-14."""
+    """The report measured on the band (the continuous envelope, its coarse
+    samples and Newton's method) against the same band's continuous
+    envelope at 40 digits (``continuous_pulse``, polished from the
+    report's own values): the peak delay within 1e-12 ps, the width and the
+    correlation within 1e-14 and the amplitude within 1e-15, relative."""
 
     @pytest.mark.parametrize("channel", list(Channel))
-    def test_matches_carrier_rate_measurement(self, channel):
+    def test_matches_continuous_reference(self, channel):
         for s, pulse in band_measurement_cases():
             if s.d == 0 and channel is Channel.REFLECTION:
                 continue
             got = propagate_pulse(s, pulse, channel)[1]
-            want = carrier_rate_pulse(s, pulse, channel)[1]
-            assert got.peak_time == want.peak_time, s
-            assert got.peak_amplitude == want.peak_amplitude, s
+            want = continuous_pulse(s, pulse, channel, near=got)
+            assert abs(got.peak_time - want.peak_time) <= 1e-24, s
             assert got.fwhm == pytest.approx(want.fwhm, rel=1e-14, abs=0), s
             assert got.shape_correlation == pytest.approx(
                 want.shape_correlation, rel=1e-14, abs=0), s
+            assert got.peak_amplitude == pytest.approx(
+                want.peak_amplitude, rel=1e-15, abs=0), s
+
+    def test_reference_from_the_incident_pulse(self):
+        # the reference's Newton's method from the incident pulse's peak and
+        # crossings reaches the roots it polishes from the report's
+        for polarization in Polarization:
+            s = Scenario(**{**HEADLINE, "d": 0.01}, polarization=polarization)
+            got = propagate_pulse(s, PULSE)[1]
+            want = continuous_pulse(s, PULSE)
+            assert abs(got.peak_time - want.peak_time) <= 1e-24
+            assert got.fwhm == pytest.approx(want.fwhm, rel=1e-14, abs=0)
+
+
+class TestContinuousEnvelope:
+    """The report carries no carrier-rate interpolation.  Measured at that
+    rate, the width read 16.000000360859698 ns at 0.4 m and at d = 0, the
+    peak at 10 mm sat 1.4e-7 ps from the envelope's, and the correlation at
+    10 mm read 1 - 1.7e-8, the deficit of a lag 2.54 ps from the peak."""
+
+    def test_width_at_wide_gap(self, headline):
+        _, report = propagate_pulse(replace(headline, d=0.4), PULSE)
+        assert report.fwhm == pytest.approx(16e-9, rel=1e-14, abs=0)
+
+    # the TM gap reshapes the pulse itself by 1.1e-13 at 10 mm, the TE one
+    # by 3.0e-14 (``continuous_pulse`` agrees to 2e-16)
+    @pytest.mark.parametrize("polarization, deficit", [
+        (Polarization.TE, 1e-13), (Polarization.TM, 2e-13)])
+    def test_correlation_at_10mm(self, polarization, deficit):
+        s = Scenario(**{**HEADLINE, "d": 0.01}, polarization=polarization)
+        assert propagate_pulse(s, PULSE)[1].shape_correlation >= 1 - deficit
+
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_unchanged_pulse_at_zero_gap(self, polarization):
+        s = Scenario(**{**HEADLINE, "d": 0.0}, polarization=polarization)
+        _, report = propagate_pulse(s, PULSE)
+        assert report.peak_time == 0.0
+        assert report.peak_amplitude == 1.0
+        assert report.shape_correlation == 1.0
+        assert report.fwhm == pytest.approx(16e-9, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("slope", [
+        lambda t: (1.0, 0.0),           # a zero derivative
+        lambda t: (math.nan, 1.0),      # a NaN
+        lambda t: (1.0, 1e-3),          # a step past the reach
+        lambda t: (1.0, 1.0 + t),       # steps that do not settle in time
+    ])
+    def test_newton_is_bounded(self, slope):
+        with pytest.raises(GridGuardError, match="did not converge"):
+            _newton(slope, 0.0, 1.0, "root")
+
+    def test_unconverged_newton_exits_2(self, monkeypatch, capsys):
+        from evanesce import cli
+
+        monkeypatch.setattr(wavesynth, "_NEWTON_STEPS", 1)
+        assert cli.main(["pulse"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no envelope peak found: Newton's method "
+                              "did not converge in 1 steps")
+        assert err.count("\n") == 1
 
 
 def equivalence_cases(polarization, fwhm_cycles):
@@ -609,7 +685,7 @@ class TestSavedWork:
         # samples, the power of two above its 573 bins.  The series is
         # synthesized, once, when it is read, by one length-n inverse FFT,
         # bit for bit the full-grid synthesis
-        want = {channel: carrier_rate_pulse(headline, PULSE, channel)[0]
+        want = {channel: carrier_rate_series(headline, PULSE, channel)
                 for channel in Channel}
         calls = counted_transforms(monkeypatch)
         spectra = []
@@ -665,8 +741,8 @@ class TestSavedWork:
         assert calls == [headline.d]
 
     def test_differential_delay_builds_no_report(self, headline, monkeypatch):
-        # only the peak times are used: no width, no correlation, and no
-        # carrier-rate grid
+        # only the peak times are used: no half-maximum crossings, no
+        # correlation lag, and no carrier-rate grid
         want = 0.0 - propagate_pulse(headline, PULSE)[1].peak_time
 
         def unused(*args, **kwargs):
@@ -819,9 +895,11 @@ class TestBlockedSynthesis:
 
 class TestBelowCritical:
     """The synthesis functions also run below the critical angle, where the
-    gap wave propagates and beta_0 is real.  Reference values from the
-    earlier design, which formed each beta from its own square root
-    (n = 1.6, 30 deg, 40 mm, 16 ns pulse, 20-wavelength beam); a real
+    gap wave propagates and beta_0 is real.  Reference values (n = 1.6,
+    30 deg, 40 mm, 16 ns pulse, 20-wavelength beam): the leakage and the
+    beam shift from the earlier design, which formed each beta from its own
+    square root, and the pulse report as measured on the continuous
+    envelope, each value within 2.3e-16 of ``continuous_pulse``.  A real
     beta_0 taken as i kappa_0 = 0 gives a NaN leakage and a TE beam shift
     of 0.0318 cm."""
 
@@ -829,18 +907,18 @@ class TestBelowCritical:
         # (leakage, {channel: (peak_time, fwhm, peak_amplitude,
         #                      shape_correlation, beam centroid shift)})
         Polarization.TE: (1.0063446746286868e-09, {
-            Channel.TRANSMISSION: (5.869465758763857e-11, 1.5999743852627165e-08,
-                                   0.7314803347761951, 0.9999999789836687,
+            Channel.TRANSMISSION: (5.869465746610329e-11, 1.5999742416483246e-08,
+                                   0.7314803654068843, 0.9999999999352008,
                                    0.038716987367670846),
-            Channel.REFLECTION: (5.869460864042598e-11, 1.600030552084055e-08,
-                                 0.6818623123300543, 0.999999978958157,
+            Channel.REFLECTION: (5.86946085171733e-11, 1.6000304122125355e-08,
+                                 0.6818623408819926, 0.9999999999096894,
                                  0.038730453504522436)}),
         Polarization.TM: (5.896640014404035e-10, {
-            Channel.TRANSMISSION: (7.958809153987391e-11, 1.5999995432463563e-08,
-                                   0.9947839897936211, 0.9999999846739506,
+            Channel.TRANSMISSION: (7.958809138095715e-11, 1.5999994303565844e-08,
+                                   0.9947840202850601, 0.9999999999999684,
                                    0.053202667809510856),
-            Channel.REFLECTION: (7.9588090052946e-11, 1.600055708822547e-08,
-                                 0.10200364265839608, 0.999999984372638,
+            Channel.REFLECTION: (7.958808989602215e-11, 1.6000556000170346e-08,
+                                 0.10200364578472638, 0.9999999996981369,
                                  0.052736753722461685)}),
     }
 
@@ -857,8 +935,8 @@ class TestBelowCritical:
         beam = BeamSpec(waist=20 * vacuum_wavelength(s.f))
         for channel, (peak, fwhm, amplitude, shape, shift) in by_channel.items():
             _, report = propagate_pulse(s, PULSE, channel)
-            # the peak interpolation's floor is ~1e-21 s
-            assert report.peak_time == pytest.approx(peak, abs=1e-20)
+            # the peak is measured to 1e-24 s
+            assert report.peak_time == pytest.approx(peak, abs=1e-24)
             assert (report.fwhm, report.peak_amplitude, report.shape_correlation) \
                 == pytest.approx((fwhm, amplitude, shape), rel=1e-12)
             assert beam_centroid_shift(s, beam, channel).centroid_shift \
