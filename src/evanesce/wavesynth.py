@@ -354,6 +354,7 @@ def _newton(slope, t: float, reach: float, what: str) -> float:
     which leaves an error of order 2^-52 reach^2/sigma, below round-off.  A
     longer step, a zero derivative or no such step in _NEWTON_STEPS raises
     GridGuardError."""
+    t = float(t)  # not a NumPy scalar, which the report would carry
     for _ in range(_NEWTON_STEPS):
         value, derivative = slope(t)
         if value == 0:
@@ -489,12 +490,14 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     scaled by the power of two that brings its largest magnitude into
     [1/2, 1), so that no sum of squares leaves the normal range, and its
     continuous envelope (``_envelope``) and coarse samples (``_coarse``)
-    are measured.  Both peaks are found by ``_peak`` from the vertex of the
-    parabola through the three coarse samples around the output's largest,
-    the incident's on the incident band, whose envelope peaks at t = 0:
-    where the two bands are equal, as at d = 0, the same steps give a delay
-    of exactly 0.0 and a ratio of the peaks of exactly 1.0.  The scale is
-    applied back only to the peak amplitude.
+    are measured.  The output's peak is found by ``_peak`` from the vertex
+    of the parabola through the three coarse samples around its largest;
+    the incident's, on the incident band, whose envelope peaks at t = 0,
+    from that vertex held to within half a coarse spacing of 0, so that a
+    delay of any size leaves its first step inside the reach.  Where the
+    two bands are equal, as at d = 0, the starts are equal and the same
+    steps give a delay of exactly 0.0 and a ratio of the peaks of exactly
+    1.0.  The scale is applied back only to the peak amplitude.
     """
     if pulse.front_time is not None:
         raise ValueError("pulse propagation measures a plain Gaussian pulse; "
@@ -531,10 +534,10 @@ def _propagated(scenario: Scenario, pulse: PulseSpec, channel: Channel):
     y0, y1, y2 = coarse[s - 1], coarse[s], coarse[(s + 1) % len(coarse)]
     curvature = y0 - 2 * y1 + y2
     vertex = s + (0.5 * (y0 - y2) / curvature if curvature else 0.0)
-    start = (vertex * stride - n // 2) * dt
+    start, reach = (vertex * stride - n // 2) * dt, stride * dt
     envelope, incident = _envelope(n, dt, scaled), _envelope(n, dt, band)
-    peak_out = _peak(envelope, start, stride * dt)
-    peak_in = _peak(incident, start, stride * dt)
+    peak_out = _peak(envelope, start, reach)
+    peak_in = _peak(incident, min(max(start, -reach / 2), reach / 2), reach)
     carrier = (cmath.exp(1j * beta0 * scenario.d)
                if channel is Channel.TRANSMISSION else 1.0)
     ratio = abs(envelope(peak_out)[0]) / abs(incident(peak_in)[0])

@@ -186,8 +186,13 @@ class TestPulsePropagation:
         # 2).  The band is measured scaled by a power of two, so the shape
         # is the one at 1e-103 m and only the amplitude scales with d.
         pulse = PulseSpec(fwhm=4e-9, carrier=PULSE.carrier)
+        # r is C omega d to first order in kappa d, so the reflected
+        # envelope |g'|^2 + omega_0^2 g^2 of the incident g peaks at t = 0:
+        # each delay is round-off about 0 (0.0 s at 1e-103 and 1e-303 m,
+        # 1.5e-39 s at 1e-163 m), far below the peak's 1e-25 s floor
         want = propagate_pulse(replace(headline, d=1e-103), pulse,
                                Channel.REFLECTION)[1]
+        assert abs(want.peak_time) <= 1e-30
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for d in (1e-163, 1e-303):
@@ -197,8 +202,7 @@ class TestPulsePropagation:
                 assert got.shape_correlation <= 1.0
                 assert got.shape_correlation == pytest.approx(
                     want.shape_correlation, rel=1e-12)
-                # both delays are round-off about 0 (1.5e-39 and 0.0 s)
-                assert abs(got.peak_time - want.peak_time) <= 1e-30
+                assert abs(got.peak_time) <= 1e-30
                 assert got.peak_amplitude / d == pytest.approx(
                     want.peak_amplitude / 1e-103, rel=1e-12)
             assert propagate_pulse(replace(headline, d=1e-303), PULSE)[1] \
@@ -941,6 +945,29 @@ class TestBelowCritical:
                 == pytest.approx((fwhm, amplitude, shape), rel=1e-12)
             assert beam_centroid_shift(s, beam, channel).centroid_shift \
                 == pytest.approx(shift, rel=1e-12)
+
+    # delays past the coarse spacing that bounds each Newton step: 640 and
+    # 797 ps against 437 ps for the 16 ns pulse at 0.4 m, 59 and 80 ps
+    # against 55 ps for a 2 ns pulse at 40 mm.  The incident peak, at
+    # t = 0, is searched for from there, not from the output's start
+    @pytest.mark.parametrize("d, fwhm", [(0.4, 16e-9), (0.04, 2e-9)])
+    @pytest.mark.parametrize("polarization", list(Polarization))
+    def test_delay_past_the_coarse_spacing(self, d, fwhm, polarization):
+        s = Scenario(n=1.6, f=9.15e9, theta=math.radians(30), d=d,
+                     polarization=polarization)
+        pulse = PulseSpec(fwhm=fwhm, carrier=PULSE.carrier)
+        for channel in Channel:
+            got = propagate_pulse(s, pulse, channel)[1]
+            want = continuous_pulse(s, pulse, channel)
+            assert got.peak_time > 50e-12
+            assert abs(got.peak_time - want.peak_time) <= 1e-24
+            assert got.fwhm == pytest.approx(want.fwhm, rel=1e-14, abs=0)
+            assert got.shape_correlation == pytest.approx(
+                want.shape_correlation, rel=1e-14, abs=0)
+            assert got.peak_amplitude == pytest.approx(
+                want.peak_amplitude, rel=1e-15, abs=0)
+            if channel is Channel.TRANSMISSION:
+                assert differential_delay(s, pulse) == -got.peak_time
 
 
 class TestQuasiStatic:
