@@ -153,6 +153,11 @@ _PLAIN = [
     ["causality", "--n", "1.6", "--f-ghz", "13.6", "--theta-deg", "89.9999999",
      "--d-mm", "0.2"],
     ["causality", "--n", "2.2", "--theta-deg", "30"],
+    ["causality", "--d-mm", "0"],
+    ["causality", "--d-mm", "1000"],
+    ["causality", "--d-mm", "10000"],
+    ["causality", "--d-mm", "250000"],
+    ["causality", "--front-sigmas", "-40"],
     ["attenuation", "--config", ""],
 ]
 
