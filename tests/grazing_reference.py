@@ -16,7 +16,8 @@ a double beta, so that a phase beta d of many radians carries no
 rounding of beta into the comparison.  Nothing here calls the library.
 
 Each drive of the synthesis has its function: the fixed angle (k_x and
-alpha proportional to omega), the fixed k_x = k_x0, and the fixed omega =
+alpha proportional to omega), the fixed k_x = k_x0 at the complex
+frequencies of the front check's damped contour, and the fixed omega =
 omega_0, whose float k_x the library reads as k_x0 plus the increment from
 its float carrier k_x, as here.
 """
@@ -71,11 +72,14 @@ def fixed_angle(scenario, omega):
         return r, t * mp.exp(-1j * beta0 * _mpf(scenario.d))
 
 
-def fixed_kx(scenario, omega):
-    """(r, t) at ``omega`` and the carrier's k_x0."""
+def damped_fixed_kx(scenario, omega, gamma):
+    """(r, t) at the complex frequency ``omega`` + i ``gamma`` and the
+    carrier's k_x0.  There both radicands have Im >= 0, and mpmath's
+    principal roots are the decaying ones, Im >= 0."""
     with mp.workdps(DPS):
         _, kx0, _ = _carrier(scenario)
-        return _coefficients(scenario, _mpf(omega), kx0, None)[:2]
+        return _coefficients(scenario, mp.mpc(_mpf(omega), _mpf(gamma)), kx0,
+                             None)[:2]
 
 
 def fixed_omega(scenario, k_x, kx0_float):

@@ -189,9 +189,18 @@ class TestScenario:
 
 
 def test_import_leaves_scipy_out():
-    # scipy is only a test dependency; the library must not import it
-    code = ("import sys, evanesce; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    # scipy is only a test dependency; the library must not import it.
+    # Neither `import evanesce` nor `python -m evanesce attenuation` may
+    # load a top-level package outside numpy, evanesce and the standard
+    # library beyond what the interpreter loaded at startup: every fresh
+    # CLI run pays for what the import path loads
+    start = "import sys; loaded = {m.split('.')[0] for m in sys.modules}\n"
+    report = ("print(sorted({m.split('.')[0] for m in sys.modules} - loaded"
+              " - set(sys.stdlib_module_names) - {'numpy', 'evanesce'}))")
+    run_cli = ("import runpy; sys.argv = ['evanesce', 'attenuation']\n"
+               "try:\n    runpy.run_module('evanesce', run_name='__main__')\n"
+               "except SystemExit:\n    pass\n")
+    for code in ("import evanesce\n", run_cli):
+        proc = subprocess.run([sys.executable, "-c", start + code + report],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]", code

@@ -76,11 +76,20 @@ class TestDrives:
                      "fixed angle")
 
     def test_fixed_kx_on_the_front_band(self, scenario):
-        # the front pulse's spectrum spans every bin; its weight lies in
-        # the Gaussian's band, which holds the prism cutoff near grazing
-        omegas = live_band(scenario, FRONT, 16, 64)
-        want = [ref.fixed_kx(scenario, w)[1] for w in omegas]
-        assert_close(wavesynth._fixed_kx(scenario, omegas), want, "fixed k_x")
+        # the front check's spectrum spans every bin of its window, at
+        # omega + i gamma; its weight lies in the Gaussian's band, which
+        # holds the prism cutoff near grazing.  Bin 0, omega = i gamma, is
+        # where a complex product of (omega - omega_0)(omega + omega_0)
+        # leaves the radicands an imaginary part of rounding error, which
+        # may have the wrong sign
+        first, n, dt, damping = wavesynth._front_window(scenario, FRONT, 16)
+        gamma = damping / (n * dt)
+        omegas = 2 * math.pi * np.fft.rfftfreq(n, dt)
+        omegas = np.concatenate([omegas[:1], omegas[np.abs(
+            omegas - scenario.omega) <= _GAUSS_REACH / FRONT.sigma][::16]])
+        want = [ref.damped_fixed_kx(scenario, w, gamma)[1] for w in omegas]
+        assert_close(wavesynth._damped_fixed_kx(scenario, omegas, gamma), want,
+                     "fixed k_x at omega + i gamma")
 
     @pytest.mark.parametrize("channel", list(Channel))
     def test_fixed_omega_on_the_beam_grid(self, scenario, channel):
